@@ -5,67 +5,75 @@ module Counters = Isched_obs.Counters
 
 (* Probe length of each [first_fit] call: how many candidate cycles were
    tested before one fit.  A growing tail here means the saturation
-   hints are losing their bite. *)
+   hints are losing their bite.  Lengths below [hist_size] are tallied
+   in the tracker and merged by [flush_probes] once per schedule (one
+   observation per probe cost several atomic operations); longer ones
+   are rare and observed directly. *)
 let d_probes = Counters.dist "resource.first_fit.probes"
+let hist_size = 64
 
-(* Occupancy counts are bounded by the machine's issue width / unit
-   copies — single digits — so each cell fits an unsigned byte.  A
-   [Bigarray] of int8 keeps a whole schedule's tables in a few cache
-   lines and off the OCaml heap (no scanning during GC, no boxing). *)
-type table = { mutable cells : (int, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t; mutable len : int }
+(* One int per cycle holds that cycle's whole occupancy: bits 0..7 count
+   the issue slots used and the byte lane at [lane k] the busy units of
+   kind [k] (six kinds, 56 bits).  {!Machine.validate} caps the issue
+   width and every unit count at 255 and nothing commits past a limit,
+   so no lane ever carries into its neighbour.  Words at or past [len]
+   are kept zero: those cycles are entirely free. *)
+let byte = 0xFF
+let[@inline] lane k = 8 + (8 * k)
 
-let table_create () =
-  { cells = Bigarray.Array1.create Bigarray.int8_unsigned Bigarray.c_layout 64; len = 0 }
-
-(* Cycle-indexed growable occupancy tables.  Schedules touch cycles
-   densely from 0, so a flat table beats hashing on every probe; the
-   [*_full_below] hints additionally let [first_fit] skip the saturated
-   prefix instead of re-scanning it for every placement. *)
 type t = {
   mutable machine : Machine.t;  (* mutable only for [scratch] reuse *)
-  issue_used : table;  (* cycle -> issue slots used *)
-  fu_used : table array;  (* per unit kind, cycle -> units busy *)
+  mutable words : int array;  (* cycle -> packed occupancy *)
+  mutable len : int;  (* 1 + the last cycle any reservation covers *)
+  mutable issue_w : int;
+  lane_limit : int array;  (* per kind: its unit count, shifted into its lane *)
+  dur : int array;  (* per kind: cycles one operation keeps a unit busy *)
   mutable issue_full_below : int;  (* every cycle below has no free issue slot *)
   fu_full_below : int array;  (* per unit kind, every cycle below is saturated *)
+  probes : int array;  (* probe length -> count, awaiting [flush_probes] *)
+  mutable probes_hi : int;  (* 1 + the longest probe tallied since *)
 }
 
-let[@inline] get_or tbl c = if c < tbl.len then Bigarray.Array1.unsafe_get tbl.cells c else 0
-
-let bump tbl c =
-  let cap = Bigarray.Array1.dim tbl.cells in
-  if c >= cap then begin
-    let cap' = max (c + 1) (2 * cap) in
-    let bigger = Bigarray.Array1.create Bigarray.int8_unsigned Bigarray.c_layout cap' in
-    Bigarray.Array1.fill bigger 0;
-    Bigarray.Array1.blit tbl.cells (Bigarray.Array1.sub bigger 0 cap);
-    tbl.cells <- bigger
-  end;
-  if c >= tbl.len then begin
-    (* [Array1.create] does not zero its storage: clear every cell the
-       logical length now covers before the increment below reads it. *)
-    for z = tbl.len to c do
-      Bigarray.Array1.unsafe_set tbl.cells z 0
-    done;
-    tbl.len <- c + 1
-  end;
-  Bigarray.Array1.unsafe_set tbl.cells c (Bigarray.Array1.unsafe_get tbl.cells c + 1)
+let configure t machine =
+  t.machine <- machine;
+  t.issue_w <- machine.Machine.issue_width;
+  for k = 0 to Fu.count - 1 do
+    t.lane_limit.(k) <- machine.Machine.fu_counts.(k) lsl lane k;
+    t.dur.(k) <- (if machine.Machine.pipelined then 1 else Fu.latency (Fu.of_index k))
+  done
 
 let create machine =
   Machine.validate machine;
-  {
-    machine;
-    issue_used = table_create ();
-    fu_used = Array.init Fu.count (fun _ -> table_create ());
-    issue_full_below = 0;
-    fu_full_below = Array.make Fu.count 0;
-  }
+  let t =
+    {
+      machine;
+      words = Array.make 64 0;
+      len = 0;
+      issue_w = 0;
+      lane_limit = Array.make Fu.count 0;
+      dur = Array.make Fu.count 1;
+      issue_full_below = 0;
+      fu_full_below = Array.make Fu.count 0;
+      probes = Array.make hist_size 0;
+      probes_hi = 0;
+    }
+  in
+  configure t machine;
+  t
+
+let flush_probes t =
+  for v = 0 to t.probes_hi - 1 do
+    let n = t.probes.(v) in
+    if n > 0 then begin
+      Counters.observe_n d_probes v n;
+      t.probes.(v) <- 0
+    end
+  done;
+  t.probes_hi <- 0
 
 (* One pooled tracker per domain, reset instead of reallocated: a
    scaled bench run creates thousands of short-lived trackers per
-   second, and each [create] costs [Fu.count + 1] fresh off-heap
-   Bigarrays.  Resetting is O(Fu.count): dropping [len] to 0 makes every
-   probe read 0 (see [get_or]) and [bump] re-zeroes cells before first
-   use, so no table memory needs clearing. *)
+   second.  Resetting clears only the words the last schedule used. *)
 let scratch_key : t option ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref None)
 
 let scratch machine =
@@ -77,44 +85,34 @@ let scratch machine =
     t
   | Some t ->
     Machine.validate machine;
-    t.machine <- machine;
+    (* Probes of a construction that raised before its own flush. *)
+    flush_probes t;
+    Array.fill t.words 0 t.len 0;
+    t.len <- 0;
     t.issue_full_below <- 0;
-    Array.fill t.fu_full_below 0 (Array.length t.fu_full_below) 0;
-    t.issue_used.len <- 0;
-    Array.iter (fun (tbl : table) -> tbl.len <- 0) t.fu_used;
+    Array.fill t.fu_full_below 0 Fu.count 0;
+    configure t machine;
     t
 
-let duration t kind = if t.machine.Machine.pipelined then 1 else Fu.latency kind
-
-(* Per-kind base latencies by {!Fu.index}: the schedulers probe and
-   reserve via the int code below, bypassing the [Instr.fu] match (it
-   showed up as a top profile entry at corpus scale — it runs several
-   times per placement otherwise). *)
-let fu_latency = Array.init Fu.count (fun i -> Fu.latency (Fu.of_index i))
-
-let[@inline] duration_code t k =
-  if t.machine.Machine.pipelined then 1 else Array.unsafe_get fu_latency k
+let[@inline] get t c = if c < t.len then Array.unsafe_get t.words c else 0
 
 let fu_code i = match Instr.fu i with None -> -1 | Some kind -> Fu.index kind
 
-let issue_free t ~cycle =
-  cycle >= 0 && get_or t.issue_used cycle < t.machine.Machine.issue_width
+(* Kind [k]'s lane has a free unit on every cycle an operation issued
+   at [cycle] would occupy. *)
+let[@inline] lane_free t ~cycle k =
+  let mask = byte lsl lane k and lim = Array.unsafe_get t.lane_limit k in
+  let last = cycle + Array.unsafe_get t.dur k - 1 in
+  let c = ref cycle in
+  while !c <= last && get t !c land mask < lim do
+    incr c
+  done;
+  !c > last
 
-let fits_code t ~cycle k =
-  if cycle < 0 then false
-  else
-    get_or t.issue_used cycle < t.machine.Machine.issue_width
-    && (k < 0
-       ||
-       let avail = t.machine.Machine.fu_counts.(k) in
-       let d = duration_code t k in
-       let tbl = t.fu_used.(k) in
-       let ok = ref true in
-       for c = cycle to cycle + d - 1 do
-         if get_or tbl c >= avail then ok := false
-       done;
-       !ok)
+let[@inline] fits_at t ~cycle k =
+  get t cycle land byte < t.issue_w && (k < 0 || lane_free t ~cycle k)
 
+let fits_code t ~cycle k = cycle >= 0 && fits_at t ~cycle k
 let fits t ~cycle i = fits_code t ~cycle (fu_code i)
 
 let reject_reason t ~cycle i =
@@ -122,104 +120,96 @@ let reject_reason t ~cycle i =
      first constraint refusing the cycle, named.  Pure query — used by
      provenance recording, never by placement itself. *)
   if cycle < 0 then Some "negative cycle"
-  else if get_or t.issue_used cycle >= t.machine.Machine.issue_width then
-    Some
-      (Printf.sprintf "issue width full (%d/%d)" (get_or t.issue_used cycle)
-         t.machine.Machine.issue_width)
+  else if get t cycle land byte >= t.issue_w then
+    Some (Printf.sprintf "issue width full (%d/%d)" (get t cycle land byte) t.issue_w)
   else
     match Instr.fu i with
     | None -> None
     | Some kind ->
       let k = Fu.index kind in
       let avail = Machine.fu_count t.machine kind in
-      let d = duration t kind in
-      let tbl = t.fu_used.(k) in
-      let busy = ref None in
-      for c = cycle to cycle + d - 1 do
-        if !busy = None && get_or tbl c >= avail then busy := Some c
-      done;
-      (match !busy with
-      | None -> None
-      | Some c ->
-        Some (Printf.sprintf "%s busy (%d/%d) at cycle %d" (Fu.name kind) (get_or tbl c) avail c))
+      let busy_at c = (get t c lsr lane k) land byte in
+      let rec first_busy c =
+        if c >= cycle + t.dur.(k) then None
+        else if busy_at c >= avail then
+          Some (Printf.sprintf "%s busy (%d/%d) at cycle %d" (Fu.name kind) (busy_at c) avail c)
+        else first_busy (c + 1)
+      in
+      first_busy cycle
+
+(* Make cycles [0, hi) addressable; fresh words are zero. *)
+let cover t hi =
+  if hi > Array.length t.words then begin
+    let bigger = Array.make (max hi (2 * Array.length t.words)) 0 in
+    Array.blit t.words 0 bigger 0 t.len;
+    t.words <- bigger
+  end;
+  if hi > t.len then t.len <- hi
 
 let commit t ~cycle k =
-  bump t.issue_used cycle;
-  while get_or t.issue_used t.issue_full_below >= t.machine.Machine.issue_width do
-    t.issue_full_below <- t.issue_full_below + 1
-  done;
-  if k >= 0 then begin
-    let d = duration_code t k in
-    for c = cycle to cycle + d - 1 do
-      bump t.fu_used.(k) c
-    done;
-    let avail = t.machine.Machine.fu_counts.(k) in
-    while get_or t.fu_used.(k) t.fu_full_below.(k) >= avail do
-      t.fu_full_below.(k) <- t.fu_full_below.(k) + 1
-    done
+  if k < 0 then begin
+    cover t (cycle + 1);
+    t.words.(cycle) <- t.words.(cycle) + 1
   end
+  else begin
+    let d = t.dur.(k) and one = 1 lsl lane k in
+    cover t (cycle + d);
+    let w = t.words in
+    w.(cycle) <- w.(cycle) + 1 + one;
+    for c = cycle + 1 to cycle + d - 1 do
+      w.(c) <- w.(c) + one
+    done;
+    let mask = byte lsl lane k and lim = t.lane_limit.(k) in
+    let b = ref t.fu_full_below.(k) in
+    while get t !b land mask >= lim do
+      incr b
+    done;
+    t.fu_full_below.(k) <- !b
+  end;
+  let b = ref t.issue_full_below in
+  while get t !b land byte >= t.issue_w do
+    incr b
+  done;
+  t.issue_full_below <- !b
+
+let unit_name k = if k < 0 then "sync op" else Fu.name (Fu.of_index k)
 
 let reserve_code t ~cycle k =
   if not (fits_code t ~cycle k) then
     invalid_arg
-      (Printf.sprintf "Resource.reserve: %s does not fit at cycle %d"
-         (if k < 0 then "sync op" else Fu.name (Fu.of_index k))
-         cycle);
-  commit t ~cycle k
+      (Printf.sprintf "Resource.reserve: %s does not fit at cycle %d" (unit_name k) cycle);
+  commit t ~cycle k;
+  fits_at t ~cycle k
 
-let reserve t ~cycle i =
-  if not (fits t ~cycle i) then
-    invalid_arg (Printf.sprintf "Resource.reserve: %s does not fit at cycle %d" (Instr.to_string i) cycle);
-  commit t ~cycle (fu_code i)
-
-let no_fit t k =
-  invalid_arg
-    (Printf.sprintf "Resource.first_fit: %s cannot be scheduled on %s at any cycle"
-       (if k < 0 then "sync op" else Fu.name (Fu.of_index k))
-       (Machine.name t.machine))
+let reserve t ~cycle i = ignore (reserve_code t ~cycle (fu_code i))
 
 let first_fit_code t ~from k =
-  (* Start past the prefix known to be saturated for this instruction's
-     needs (the hints are lower bounds, so this never skips a fit), and
-     stop at the tables' horizon: every cycle past it is entirely free,
-     so failing on an empty cycle means no cycle ever fits (e.g. a unit
-     the machine has zero copies of).  The instruction's unit demand is
-     derived once here instead of once per probed cycle. *)
-  let issue = t.issue_used in
-  let issue_w = t.machine.Machine.issue_width in
-  let start0 = max 0 (max from t.issue_full_below) in
-  if k < 0 then begin
-    (* Only the issue width constrains the placement. *)
-    let horizon = max start0 issue.len in
-    let c = ref start0 in
-    while !c <= horizon && get_or issue !c >= issue_w do
-      incr c
-    done;
-    Counters.observe d_probes (!c - start0 + 1);
-    if !c > horizon then no_fit t k;
-    !c
+  (* Start past the prefix known to be saturated for this demand (the
+     hints are lower bounds, so this never skips a fit), and stop at the
+     horizon: every cycle from [len] on is entirely free, so failing
+     there means no cycle ever fits. *)
+  let start = max 0 (max from t.issue_full_below) in
+  let start = if k < 0 then start else max start t.fu_full_below.(k) in
+  let horizon = max start t.len in
+  let c = ref start in
+  while !c <= horizon && not (fits_at t ~cycle:!c k) do
+    incr c
+  done;
+  let probes = !c - start + 1 in
+  if probes < hist_size then begin
+    t.probes.(probes) <- t.probes.(probes) + 1;
+    if probes >= t.probes_hi then t.probes_hi <- probes + 1
   end
-  else begin
-    let start = max start0 t.fu_full_below.(k) in
-    let avail = t.machine.Machine.fu_counts.(k) in
-    let d = duration_code t k in
-    let tbl = t.fu_used.(k) in
-    let horizon = max start (max issue.len tbl.len) in
-    let c = ref start in
-    let found = ref false in
-    while (not !found) && !c <= horizon do
-      (if get_or issue !c < issue_w then begin
-         let ok = ref true in
-         for x = !c to !c + d - 1 do
-           if get_or tbl x >= avail then ok := false
-         done;
-         if !ok then found := true
-       end);
-      if not !found then incr c
-    done;
-    Counters.observe d_probes (!c - start + 1);
-    if not !found then no_fit t k;
-    !c
-  end
+  else Counters.observe d_probes probes;
+  if !c > horizon then
+    invalid_arg
+      (Printf.sprintf "Resource.first_fit: %s cannot be scheduled on %s at any cycle"
+         (unit_name k) (Machine.name t.machine));
+  !c
 
 let first_fit t ~from i = first_fit_code t ~from (fu_code i)
+
+let place_code t ~from k =
+  let c = first_fit_code t ~from k in
+  commit t ~cycle:c k;
+  c

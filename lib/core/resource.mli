@@ -1,10 +1,10 @@
 (** Resource reservation table for schedule construction.
 
     Tracks, per cycle, the issue slots used and the occupancy of every
-    function-unit kind.  A non-pipelined unit is busy for its full
-    latency starting at the issue cycle; a pipelined one only at the
-    issue cycle.  Synchronization operations consume an issue slot but
-    no unit. *)
+    function-unit kind, packed into one int per cycle.  A non-pipelined
+    unit is busy for its full latency starting at the issue cycle; a
+    pipelined one only at the issue cycle.  Synchronization operations
+    consume an issue slot but no unit. *)
 
 module Machine := Isched_ir.Machine
 module Instr := Isched_ir.Instr
@@ -31,13 +31,10 @@ val fits : t -> cycle:int -> Instr.t -> bool
     the codes once per body, e.g. {!Isched_dfg.Dfg.fu_codes}). *)
 val fu_code : Instr.t -> int
 
-(** [fits_code t ~cycle k] — {!fits} with a precomputed {!fu_code}. *)
+(** [fits_code t ~cycle k] — {!fits} with a precomputed {!fu_code}.
+    [fits_code t ~cycle (-1)] asks whether an issue slot is free: when
+    it is not, nothing fits. *)
 val fits_code : t -> cycle:int -> int -> bool
-
-(** [issue_free t ~cycle] — is at least one issue slot open at [cycle]?
-    When false, {!fits} is false for every instruction: worklist loops
-    use this to stop probing candidates once a cycle is full. *)
-val issue_free : t -> cycle:int -> bool
 
 (** [reject_reason t ~cycle i] — [None] exactly when {!fits} holds;
     otherwise the first constraint refusing the cycle, rendered for
@@ -50,16 +47,25 @@ val reject_reason : t -> cycle:int -> Instr.t -> string option
 val reserve : t -> cycle:int -> Instr.t -> unit
 
 (** [reserve_code t ~cycle k] — {!reserve} with a precomputed
-    {!fu_code}. *)
-val reserve_code : t -> cycle:int -> int -> unit
+    {!fu_code}; returns whether a second operation with the same demand
+    would still fit at [cycle], so a list scheduler can keep filling
+    the cycle without another probe. *)
+val reserve_code : t -> cycle:int -> int -> bool
 
 (** [first_fit t ~from i] — the smallest cycle [>= from] where [i]
     fits.  The scan is bounded by the tables' horizon (all later cycles
-    are free): if [i] does not fit on an empty cycle — a degenerate
-    machine with no copies of the required unit — it raises
-    [Invalid_argument] instead of spinning. *)
+    are free), so it always terminates on a validated machine.  The
+    number of cycles probed is tallied in [t] and reaches the
+    [resource.first_fit.probes] distribution at {!flush_probes}. *)
 val first_fit : t -> from:int -> Instr.t -> int
 
-(** [first_fit_code t ~from k] — {!first_fit} with a precomputed
-    {!fu_code}. *)
-val first_fit_code : t -> from:int -> int -> int
+(** [place_code t ~from k] — {!first_fit} and {!reserve} in one step,
+    with a precomputed {!fu_code}: reserves the smallest fitting cycle
+    [>= from] and returns it. *)
+val place_code : t -> from:int -> int -> int
+
+(** [flush_probes t] merges the probe lengths tallied by {!first_fit}
+    and {!place_code} into the [resource.first_fit.probes]
+    distribution.  Schedulers call it once per schedule; {!scratch}
+    also flushes what the previous user left behind. *)
+val flush_probes : t -> unit

@@ -15,18 +15,26 @@ type t = {
 let of_cycles prog machine cycle_of =
   let n = Array.length prog.Program.body in
   if Array.length cycle_of <> n then invalid_arg "Schedule.of_cycles: length mismatch";
-  Array.iteri
-    (fun i c ->
-      if c < 0 then
-        invalid_arg (Printf.sprintf "Schedule.of_cycles: instruction %d unscheduled" (i + 1)))
-    cycle_of;
-  let length = if n = 0 then 0 else 1 + Array.fold_left max 0 cycle_of in
+  let last = ref (-1) in
+  for i = 0 to n - 1 do
+    let c = cycle_of.(i) in
+    if c < 0 then
+      invalid_arg (Printf.sprintf "Schedule.of_cycles: instruction %d unscheduled" (i + 1));
+    if c > !last then last := c
+  done;
+  let length = !last + 1 in
   (* Counting sort into exactly-sized rows, ascending within each row;
-     no intermediate lists. *)
-  let counts = Array.make (length + 1) 0 in
-  Array.iter (fun c -> counts.(c) <- counts.(c) + 1) cycle_of;
-  let rows = Array.init length (fun c -> Array.make counts.(c) 0) in
-  let cur = Array.make (length + 1) 0 in
+     no intermediate lists.  [cur.(c)] counts row [c], then serves as
+     its fill cursor. *)
+  let cur = Array.make length 0 in
+  for i = 0 to n - 1 do
+    cur.(cycle_of.(i)) <- cur.(cycle_of.(i)) + 1
+  done;
+  let rows = Array.make length [||] in
+  for c = 0 to length - 1 do
+    rows.(c) <- Array.make cur.(c) 0;
+    cur.(c) <- 0
+  done;
   for i = 0 to n - 1 do
     let c = cycle_of.(i) in
     rows.(c).(cur.(c)) <- i;
@@ -35,6 +43,25 @@ let of_cycles prog machine cycle_of =
   { prog; machine; cycle_of; rows; length }
 
 let position t i = t.cycle_of.(i) + 1
+
+(* Unit occupancy over the cycles [lo, hi] of the operations [issue]
+   feeds to its callback as (issue cycle, instruction): the first unit
+   kind and cycle, in feeding order, where [m] runs out of units. *)
+let overload m ~lo ~hi issue =
+  let used = Array.make_matrix Fu.count (hi - lo + 1) 0 in
+  let first = ref None in
+  issue (fun c0 ins ->
+      match Instr.fu ins with
+      | None -> ()
+      | Some kind ->
+        let k = Fu.index kind in
+        let d = if m.Machine.pipelined then 1 else Fu.latency kind in
+        for c = max lo c0 to min hi (c0 + d - 1) do
+          used.(k).(c - lo) <- used.(k).(c - lo) + 1;
+          if !first = None && used.(k).(c - lo) > Machine.fu_count m kind then
+            first := Some (kind, c)
+        done);
+  !first
 
 let validate t (g : Dfg.t) =
   let m = t.machine in
@@ -55,57 +82,77 @@ let validate t (g : Dfg.t) =
         fail "row %d issues %d > width %d" c (Array.length row) m.Machine.issue_width)
     t.rows;
   (* Function units: occupancy counting per cycle. *)
-  let horizon = t.length + 8 in
-  let used = Array.make_matrix Fu.count horizon 0 in
-  Array.iteri
-    (fun i ins ->
-      match Instr.fu ins with
-      | None -> ()
-      | Some kind ->
-        let d = if m.Machine.pipelined then 1 else Fu.latency kind in
-        for c = t.cycle_of.(i) to min (horizon - 1) (t.cycle_of.(i) + d - 1) do
-          let k = Fu.index kind in
-          used.(k).(c) <- used.(k).(c) + 1;
-          if used.(k).(c) > Machine.fu_count m kind then
-            fail "%s oversubscribed at cycle %d" (Fu.name kind) c
-        done)
-    t.prog.Program.body;
+  (match
+     overload m ~lo:0 ~hi:(t.length + 7) (fun f ->
+         Array.iteri (fun i ins -> f t.cycle_of.(i) ins) t.prog.Program.body)
+   with
+  | Some (kind, c) -> fail "%s oversubscribed at cycle %d" (Fu.name kind) c
+  | None -> ());
   match !problem with None -> Ok () | Some msg -> Error msg
 
-let compact t g =
-  let current = ref t in
-  let try_remove () =
-    let s = !current in
-    let empty = ref None in
-    for c = s.length - 1 downto 0 do
-      if Array.length s.rows.(c) = 0 then empty := Some c
+(* The longest a unit stays busy on [m]: how far apart two operations
+   can be and still compete for one unit. *)
+let busy_span m =
+  if m.Machine.pipelined then 1 else List.fold_left (fun d k -> max d (Fu.latency k)) 1 Fu.all
+
+(* Removing empty rows earliest first, retrying from the top after every
+   removal, equals one left-to-right pass: a removal only shrinks
+   distances, and every operation covering a cycle then covers its
+   image, so a row that cannot go never becomes removable later.  From
+   a legal schedule, each candidate is checked locally against the rows
+   already removed: every arc spanning it must keep a cycle of slack,
+   and no unit may be oversubscribed where the operations issued before
+   it meet those issued after it.  [shift.(r)] counts the rows removed
+   below row [r]. *)
+let compact t (g : Dfg.t) =
+  let m = t.machine and len = t.length in
+  if Array.for_all (fun row -> Array.length row > 0) t.rows || validate t g <> Ok () then t
+  else begin
+    let span = busy_span m in
+    let shift = Array.make (len + 1) 0 in
+    (* An arc from row [r] with slack [sl] allows [sl] removals between
+       its ends: it blocks every row before its end once [shift] reaches
+       its budget [sl + shift.(r)].  [ends.(b)] is the furthest end of
+       the arcs with budget [b]; [blocked] the furthest end of the arcs
+       whose budget is spent. *)
+    let ends = Array.make (len + 1) (-1) in
+    let blocked = ref (-1) in
+    let units_fit e =
+      (* The cycles [base, base + span - 2] the removal brings together,
+         [base] being row [e]'s cycle now: the operations issued before
+         it that are still busy there, and those after it, moved up. *)
+      let base = e - shift.(e) in
+      overload m ~lo:base ~hi:(base + span - 2) (fun f ->
+          let issue c row = Array.iter (fun i -> f c t.prog.Program.body.(i)) row in
+          let r = ref (e - 1) in
+          while !r >= 0 && !r - shift.(!r) > base - span do
+            issue (!r - shift.(!r)) t.rows.(!r);
+            decr r
+          done;
+          for r = e + 1 to min (len - 1) (e + span - 1) do
+            issue (r - shift.(e) - 1) t.rows.(r)
+          done)
+      = None
+    in
+    for e = 0 to len - 1 do
+      shift.(e + 1) <- shift.(e);
+      if Array.length t.rows.(e) > 0 then
+        Array.iter
+          (fun u ->
+            Dfg.iter_succs g u (fun a ->
+                let dst_row = t.cycle_of.(Dfg.arc_node a) in
+                let budget = dst_row - e - Dfg.arc_latency a + shift.(e) in
+                if budget = shift.(e) then blocked := max !blocked dst_row
+                else ends.(budget) <- max ends.(budget) dst_row))
+          t.rows.(e)
+      else if !blocked < e && (span = 1 || units_fit e) then begin
+        shift.(e + 1) <- shift.(e) + 1;
+        blocked := max !blocked ends.(shift.(e + 1))
+      end
     done;
-    match !empty with
-    | None -> false
-    | Some _ ->
-      (* Try each empty row, earliest first; accept the first removal
-         that validates. *)
-      let rec attempt c =
-        if c >= s.length then false
-        else if Array.length s.rows.(c) > 0 then attempt (c + 1)
-        else begin
-          let cycle_of =
-            Array.map (fun x -> if x > c then x - 1 else x) s.cycle_of
-          in
-          let candidate = of_cycles s.prog s.machine cycle_of in
-          match validate candidate g with
-          | Ok () ->
-            current := candidate;
-            true
-          | Error _ -> attempt (c + 1)
-        end
-      in
-      attempt 0
-  in
-  while try_remove () do
-    ()
-  done;
-  !current
+    if shift.(len) = 0 then t
+    else of_cycles t.prog m (Array.map (fun c -> c - shift.(c)) t.cycle_of)
+  end
 
 let pp ppf t =
   Array.iteri

@@ -66,18 +66,22 @@ let binding_arc st i =
    [lfd_wait_send] are additionally forced after their send.  [ctx], when
    given, names the constraint behind a caller-imposed [from] floor (the
    sync-path contiguity of [place_path]); it becomes the decision's
-   binding when that floor dominates the dependence-readiness cycle. *)
+   binding when that floor dominates the dependence-readiness cycle.
+   Predecessor arcs are decoded inline from the CSR arena. *)
 let rec place st ?(from = 0) ?ctx i =
-  if not (placed st i) then begin
+  if st.cycle_of.(i) < 0 then begin
     (* One predecessor walk both places the ancestors and accumulates
        the readiness cycle: each predecessor's cycle is final once its
        recursive [place] returns, and later placements never move it. *)
+    let g = st.g in
     let ready = ref 0 in
-    Dfg.iter_preds st.g i (fun a ->
-        let src = Dfg.arc_node a in
-        place st src;
-        let t = st.cycle_of.(src) + Dfg.arc_latency a in
-        if t > !ready then ready := t);
+    for x = g.Dfg.pred_off.(i) to g.Dfg.pred_off.(i + 1) - 1 do
+      let a = g.Dfg.pred_arc.(x) in
+      let src = a lsr Dfg.arc_node_shift in
+      if st.cycle_of.(src) < 0 then place st src;
+      let t = st.cycle_of.(src) + (a land Dfg.arc_latency_mask) in
+      if t > !ready then ready := t
+    done;
     let ready = !ready in
     let from_outer = from in
     let lfd_send = st.lfd_wait_send.(i) in
@@ -89,11 +93,10 @@ let rec place st ?(from = 0) ?ctx i =
       else from
     in
     let start = max from ready in
-    let c = Resource.first_fit_code st.res ~from:start st.fuc.(i) in
-    Resource.reserve_code st.res ~cycle:c st.fuc.(i);
+    let c = Resource.place_code st.res ~from:start st.fuc.(i) in
     st.cycle_of.(i) <- c;
     if st.prov then begin
-      let ins = st.g.Dfg.prog.Program.body.(i) in
+      let ins = g.Dfg.prog.Program.body.(i) in
       let binding =
         if
           lfd_send >= 0
@@ -103,18 +106,12 @@ let rec place st ?(from = 0) ?ctx i =
         else if from_outer > ready then ctx
         else binding_arc st i
       in
-      Provenance.record ~scheduler:"new" ~prog:st.g.Dfg.prog.Program.name ~instr:i ~cycle:c
+      Provenance.record ~scheduler:"new" ~prog:g.Dfg.prog.Program.name ~instr:i ~cycle:c
         ~ready ~candidates:1 ~priority:st.prio.(i)
         ~rejections:(rejections_between st ~start ~stop:c ins)
         ?binding ()
     end
   end
-
-(* Place a node at the earliest feasible cycle >= [from] and return the
-   chosen cycle. *)
-let place_at_least st i ~from ?ctx () =
-  place st ~from ?ctx i;
-  st.cycle_of.(i)
 
 (* --- synchronization paths --- *)
 
@@ -133,11 +130,14 @@ let group_paths ~order_paths (groups : Dfg.path_group list) =
 (* Latency-only ASAP times, ignoring resources: the lower bound on any
    node's cycle.  Nodes already placed use their committed cycle. *)
 let asap_estimate st =
-  let est = Array.make st.g.Dfg.n 0 in
-  for i = 0 to st.g.Dfg.n - 1 do
-    Dfg.iter_preds st.g i (fun a ->
-        let t = est.(Dfg.arc_node a) + Dfg.arc_latency a in
-        if t > est.(i) then est.(i) <- t);
+  let g = st.g in
+  let est = Array.make g.Dfg.n 0 in
+  for i = 0 to g.Dfg.n - 1 do
+    for x = g.Dfg.pred_off.(i) to g.Dfg.pred_off.(i + 1) - 1 do
+      let a = g.Dfg.pred_arc.(x) in
+      let t = est.(a lsr Dfg.arc_node_shift) + (a land Dfg.arc_latency_mask) in
+      if t > est.(i) then est.(i) <- t
+    done;
     if placed st i then est.(i) <- max est.(i) st.cycle_of.(i)
   done;
   est
@@ -183,7 +183,8 @@ let place_path st (p : Dfg.sync_path) =
                 latency = offs.(i) - offs.(i - 1);
                 arc = "sync-path" }
           in
-          let c = place_at_least st v ~from:(!start + offs.(i)) ~ctx () in
+          place st ~from:(!start + offs.(i)) ~ctx v;
+          let c = st.cycle_of.(v) in
           if c > !start + offs.(i) then start := c - offs.(i)
         end
         else start := max !start (st.cycle_of.(v) - offs.(i)))
@@ -221,7 +222,11 @@ let run_inner ~options ?baseline (g : Dfg.t) machine =
      order) so the fill is as dense as the list scheduler's.  Waits
      constrained to follow their sends do so via [lfd_wait_send] inside
      [place]. *)
-  Array.iter (fun i -> place st i) (Dfg.priority_order g);
+  let order = Dfg.priority_order g in
+  for r = 0 to n - 1 do
+    place st order.(r)
+  done;
+  Resource.flush_probes st.res;
   let sched = Schedule.of_cycles p machine st.cycle_of in
   let sched = if options.compact then Schedule.compact sched g else sched in
   (* The paper's guarantee that the technique "never degrades the system

@@ -26,8 +26,10 @@ let arc_kind_name = function
 let kind_code = function Data -> 0 | Mem -> 1 | Sync_src -> 2 | Sync_snk -> 3
 let kind_of_code = function 0 -> Data | 1 -> Mem | 2 -> Sync_src | _ -> Sync_snk
 
-let[@inline] arc_node packed = packed lsr 10
-let[@inline] arc_latency packed = packed land 0xFF
+let arc_node_shift = 10
+let arc_latency_mask = 0xFF
+let[@inline] arc_node packed = packed lsr arc_node_shift
+let[@inline] arc_latency packed = packed land arc_latency_mask
 let[@inline] arc_kind packed = kind_of_code ((packed lsr 8) land 3)
 
 type sync_path = { wait_id : int; signal : int; distance : int; nodes : int list }
@@ -646,18 +648,30 @@ let longest_path_to_exit g =
 (* Every node, critical path first, ties towards program order: the
    fill order of the schedulers' final phase.  A pure function of the
    graph, so the sort happens once instead of once per machine
-   configuration. *)
+   configuration.  Priorities are small non-negative ints, so a
+   counting sort on [top - prio] orders them descending, and being
+   stable it keeps ties in index order. *)
 let priority_order g =
   match g.memo.order with
   | Some o -> o
   | None ->
     let prio = longest_path_to_exit g in
-    let order = Array.init g.n (fun i -> i) in
-    Array.sort
-      (fun a b ->
-        let c = Int.compare prio.(b) prio.(a) in
-        if c <> 0 then c else Int.compare a b)
-      order;
+    let top = Array.fold_left max 0 prio in
+    (* [start.(b)]: the first slot of bucket [b = top - prio]. *)
+    let start = Array.make (top + 2) 0 in
+    for i = 0 to g.n - 1 do
+      let b = top - prio.(i) + 1 in
+      start.(b) <- start.(b) + 1
+    done;
+    for b = 1 to top + 1 do
+      start.(b) <- start.(b) + start.(b - 1)
+    done;
+    let order = Array.make g.n 0 in
+    for i = 0 to g.n - 1 do
+      let b = top - prio.(i) in
+      order.(start.(b)) <- i;
+      start.(b) <- start.(b) + 1
+    done;
     g.memo.order <- Some order;
     order
 

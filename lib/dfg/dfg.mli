@@ -86,6 +86,13 @@ val arc_latency : int -> int
 (** [arc_kind packed] — the arc's kind. *)
 val arc_kind : int -> arc_kind
 
+(** The packing itself, for hot loops that decode arcs inline:
+    [arc_node a = a lsr arc_node_shift] and
+    [arc_latency a = a land arc_latency_mask]. *)
+val arc_node_shift : int
+
+val arc_latency_mask : int
+
 (** [succ_deg g i] / [pred_deg g i] — out-/in-degree of node [i]. *)
 val succ_deg : t -> int -> int
 

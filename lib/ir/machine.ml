@@ -31,13 +31,18 @@ let paper_configs =
     ("4-issue(#FU=2)", make ~issue:4 ~nfu:2 ());
   ]
 
+let max_count = 255
+
 let validate m =
   if m.issue_width <= 0 then invalid_arg "Machine.validate: issue width must be positive";
+  if m.issue_width > max_count then
+    invalid_arg (Printf.sprintf "Machine.validate: issue width must be at most %d" max_count);
   Array.iteri
     (fun i c ->
-      if c <= 0 then
+      if c <= 0 || c > max_count then
         invalid_arg
-          (Printf.sprintf "Machine.validate: %s count must be positive" (Fu.name (Fu.of_index i))))
+          (Printf.sprintf "Machine.validate: %s count must be %s" (Fu.name (Fu.of_index i))
+             (if c <= 0 then "positive" else Printf.sprintf "at most %d" max_count)))
     m.fu_counts
 
 let pp ppf m = Format.pp_print_string ppf (name m)

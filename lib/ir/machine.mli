@@ -30,7 +30,9 @@ val paper_configs : (string * t) list
 val name : t -> string
 
 (** [validate m] raises [Invalid_argument] if the configuration is
-    degenerate (non-positive issue width or unit counts). *)
+    degenerate (non-positive issue width or unit counts) or wider than
+    255 issue slots or units of a kind (the resource tracker keeps each
+    cycle's occupancy in byte-wide lanes). *)
 val validate : t -> unit
 
 val pp : Format.formatter -> t -> unit

@@ -104,15 +104,17 @@ let rec atomic_max a v =
   let cur = Atomic.get a in
   if v > cur && not (Atomic.compare_and_set a cur v) then atomic_max a v
 
-let observe (d : dist) v =
-  if Atomic.get enabled_flag then begin
+let observe_n (d : dist) v n =
+  if n > 0 && Atomic.get enabled_flag then begin
     let s = d.(shard_index ()) in
-    Atomic.incr s.count;
-    ignore (Atomic.fetch_and_add s.sum v);
+    ignore (Atomic.fetch_and_add s.count n);
+    ignore (Atomic.fetch_and_add s.sum (v * n));
     atomic_min s.mn v;
     atomic_max s.mx v;
-    Atomic.incr s.buckets.(bucket_index v)
+    ignore (Atomic.fetch_and_add s.buckets.(bucket_index v) n)
   end
+
+let observe d v = observe_n d v 1
 
 type dist_stats = {
   count : int;

@@ -33,6 +33,12 @@ val value : counter -> int
     [0..63], one for negatives, one for [>= 64]. *)
 val observe : dist -> int -> unit
 
+(** [observe_n d v n] records [n] samples of value [v] at once: the same
+    statistics as [n] calls of [observe d v], in a handful of atomic
+    operations.  For call sites that pre-aggregate a hot distribution
+    locally and merge it in batches. *)
+val observe_n : dist -> int -> int -> unit
+
 type dist_stats = {
   count : int;
   sum : int;

@@ -1,8 +1,7 @@
 (** Mutable binary max-heap keyed by an integer priority.
 
-    The list scheduler keeps its ready set here: the element with the
-    largest priority (critical-path length, with a deterministic
-    tie-break on the element itself) is popped first. *)
+    The element with the largest priority is popped first, ties broken
+    deterministically; sync migration orders its worklist here. *)
 
 type 'a t
 

@@ -126,6 +126,16 @@ let test_machine_validate () =
     (Invalid_argument "Machine.validate: ld/st count must be positive") (fun () ->
       Machine.validate (Machine.make ~issue:2 ~nfu:0 ()))
 
+let test_machine_validate_caps () =
+  (* Occupancy is tracked in byte lanes, so 255 is the widest machine. *)
+  Machine.validate (Machine.make ~issue:255 ~nfu:255 ());
+  Alcotest.check_raises "issue 256"
+    (Invalid_argument "Machine.validate: issue width must be at most 255") (fun () ->
+      Machine.validate (Machine.make ~issue:256 ~nfu:1 ()));
+  Alcotest.check_raises "256 dividers"
+    (Invalid_argument "Machine.validate: div count must be at most 255") (fun () ->
+      Machine.validate (Machine.with_fu (Machine.make ~issue:4 ~nfu:1 ()) Fu.Divider 256))
+
 (* --- Program validation --- *)
 
 let fig1_program () = Isched_harness.Worked_example.fig2_program ()
@@ -224,4 +234,5 @@ let suite =
     ("program: rejects send before source", `Quick, test_program_rejects_send_before_src);
     ("program: rejects distance < 1", `Quick, test_program_rejects_bad_distance);
     ("program: Fig. 2 pretty-printing", `Quick, test_program_pp_fig2);
+    ("machine: validation caps widths and counts at 255", `Quick, test_machine_validate_caps);
   ]

@@ -101,15 +101,14 @@ let test_resource_first_fit_far_start () =
   Resource.reserve r ~cycle:0 add;
   check Alcotest.int "past the horizon" 500 (Resource.first_fit r ~from:500 add)
 
-let test_resource_matches_hashtbl_oracle () =
-  (* Oracle: the pre-overhaul Hashtbl reservation tables.  Drive both
-     models with one random placement stream and require identical fits
-     answers, first-fit landing sites and occupancy evolution. *)
-  let m = Machine.make ~issue:2 ~nfu:1 () in
+(* Reference occupancy tracker: the pre-overhaul Hashtbl reservation
+   tables, independent of {!Resource}'s packed words. *)
+let ref_tracker (m : Machine.t) =
   let issue_used : (int, int) Hashtbl.t = Hashtbl.create 64 in
   let fu_used : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
   let get tbl k = Option.value ~default:0 (Hashtbl.find_opt tbl k) in
-  let ref_fits ~cycle i =
+  let busy kind = if m.Machine.pipelined then 1 else Isched_ir.Fu.latency kind in
+  let fits ~cycle i =
     cycle >= 0
     && get issue_used cycle < m.Machine.issue_width
     &&
@@ -117,23 +116,30 @@ let test_resource_matches_hashtbl_oracle () =
     | None -> true
     | Some kind ->
       let k = Isched_ir.Fu.index kind in
-      let avail = Machine.fu_count m kind in
       let ok = ref true in
-      for c = cycle to cycle + Isched_ir.Fu.latency kind - 1 do
-        if get fu_used (k, c) >= avail then ok := false
+      for c = cycle to cycle + busy kind - 1 do
+        if get fu_used (k, c) >= Machine.fu_count m kind then ok := false
       done;
       !ok
   in
-  let ref_reserve ~cycle i =
+  let reserve ~cycle i =
     Hashtbl.replace issue_used cycle (get issue_used cycle + 1);
     match Instr.fu i with
     | None -> ()
     | Some kind ->
       let k = Isched_ir.Fu.index kind in
-      for c = cycle to cycle + Isched_ir.Fu.latency kind - 1 do
+      for c = cycle to cycle + busy kind - 1 do
         Hashtbl.replace fu_used (k, c) (get fu_used (k, c) + 1)
       done
   in
+  (fits, reserve)
+
+let test_resource_matches_hashtbl_oracle () =
+  (* Drive both models with one random placement stream and require
+     identical fits answers, first-fit landing sites and occupancy
+     evolution. *)
+  let m = Machine.make ~issue:2 ~nfu:1 () in
+  let ref_fits, ref_reserve = ref_tracker m in
   let r = Resource.create m in
   let rng = Isched_util.Prng.create 123 in
   for step = 1 to 300 do
@@ -152,6 +158,34 @@ let test_resource_matches_hashtbl_oracle () =
     Resource.reserve r ~cycle:c i;
     ref_reserve ~cycle:c i
   done
+
+let test_resource_byte_lanes () =
+  (* Each cycle's occupancy is one word of byte lanes: the widest legal
+     machine fills a lane to exactly 255 without spilling into the
+     next, and anything wider is refused up front (an 8-bit count
+     would wrap back to "free" at 256). *)
+  let wide = Machine.make ~issue:255 ~nfu:255 () in
+  let r = Resource.create wide in
+  for _ = 1 to 255 do
+    Resource.reserve r ~cycle:0 add
+  done;
+  Alcotest.(check bool) "issue lane full at 255" false (Resource.fits r ~cycle:0 wait_i);
+  Alcotest.(check bool) "next cycle untouched" true (Resource.fits r ~cycle:1 add);
+  let r = Resource.create (Machine.make ~issue:255 ~nfu:3 ()) in
+  for _ = 1 to 3 do
+    Resource.reserve r ~cycle:0 mul
+  done;
+  Alcotest.(check bool) "multiplier lane full" false (Resource.fits r ~cycle:2 mul);
+  Alcotest.(check bool) "integer lane unaffected" true (Resource.fits r ~cycle:0 add);
+  List.iter
+    (fun m ->
+      Alcotest.(check bool) (Machine.name m ^ " rejected") true
+        (try
+           ignore (Resource.create m);
+           false
+         with Invalid_argument _ -> true))
+    [ Machine.make ~issue:256 ~nfu:1 ();
+      Machine.with_fu (Machine.make ~issue:4 ~nfu:1 ()) Isched_ir.Fu.Divider 256 ]
 
 (* --- Schedule --- *)
 
@@ -401,6 +435,210 @@ let test_schedule_pp_shapes () =
      let rec go i = i + m <= n && (String.sub wide i m = affix || go (i + 1)) in
      go 0)
 
+(* --- reference list scheduler --- *)
+
+(* Textbook exhaustive list scheduling, O(n^2): every cycle, walk every
+   available node in (priority desc, index asc) order and place it if
+   it fits.  A node is available once all its predecessors sit in
+   earlier cycles, their latencies have elapsed and its release cycle
+   has come.  Resources come from the Hashtbl tracker above. *)
+let reference_list ?priority ?release (g : Dfg.t) m =
+  let n = g.Dfg.n in
+  let body = g.Dfg.prog.Program.body in
+  let prio = match priority with Some p -> p | None -> Dfg.longest_path_to_exit g in
+  let order =
+    List.sort
+      (fun a b -> if prio.(a) <> prio.(b) then compare prio.(b) prio.(a) else compare a b)
+      (List.init n Fun.id)
+  in
+  let fits, reserve = ref_tracker m in
+  let cycle_of = Array.make n (-1) in
+  let available i c =
+    List.for_all
+      (fun (a : Dfg.arc) ->
+        let p = cycle_of.(a.src) in
+        p >= 0 && p < c && p + a.latency <= c)
+      (Dfg.preds_list g i)
+    && match release with Some r -> c >= r.(i) | None -> true
+  in
+  let placed = ref 0 and cycle = ref 0 in
+  while !placed < n do
+    List.iter
+      (fun i ->
+        if cycle_of.(i) < 0 && available i !cycle && fits ~cycle:!cycle body.(i) then begin
+          reserve ~cycle:!cycle body.(i);
+          cycle_of.(i) <- !cycle;
+          incr placed
+        end)
+      order;
+    incr cycle
+  done;
+  cycle_of
+
+(* A random straight-line body over every unit class: each instruction
+   reads up to two earlier results (instruction [j] defines register
+   [j]), so the data arcs form a random DAG; scalar loads and stores of
+   two names add memory arcs, and sync operations (built without sync
+   arcs) populate the no-unit class. *)
+let random_program rng n =
+  let ops = Instr.[| Add; Sub; Shl; Mul; Div; FAdd; FMul; FDiv; CmpLt |] in
+  let defs = ref [||] in
+  let operand () =
+    if Array.length !defs = 0 || Isched_util.Prng.bool rng 0.2 then Operand.Imm 1
+    else Operand.Reg (Isched_util.Prng.choose rng !defs)
+  in
+  let name () = Isched_util.Prng.choose rng [| "x"; "y" |] in
+  let body =
+    Array.init n (fun i ->
+        let ins =
+          match Isched_util.Prng.int rng 12 with
+          | 0 -> Instr.Send { signal = 0 }
+          | 1 -> Instr.Wait { wait = 0 }
+          | 2 -> Instr.Load_scalar { dst = i; name = name () }
+          | 3 -> Instr.Store_scalar { name = name (); src = operand () }
+          | _ ->
+            let op = Isched_util.Prng.choose rng ops in
+            Instr.Bin { op; dst = i; a = operand (); b = operand () }
+        in
+        if Instr.def ins <> None then defs := Array.append !defs [| i |];
+        ins)
+  in
+  {
+    Program.name = "random";
+    body;
+    signals = [||];
+    waits = [||];
+    mem = Array.make n None;
+    stmt_of = Array.make n 0;
+    n_regs = n;
+    lo = 1;
+    n_iters = 10;
+    source_lines = 1;
+  }
+
+let with_provenance on f =
+  if not on then f ()
+  else
+    Fun.protect
+      ~finally:(fun () ->
+        Isched_obs.Provenance.set_enabled false;
+        Isched_obs.Provenance.reset ())
+      (fun () ->
+        Isched_obs.Provenance.set_enabled true;
+        f ())
+
+let prop_list_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300
+       ~name:"list: cycle for cycle equal to the exhaustive reference scheduler"
+       QCheck2.Gen.(
+         tup4 (int_range 0 1_000_000) (int_range 1 60)
+           (triple (int_range 1 8) (int_range 1 3) bool)
+           (triple (int_range 0 2) bool bool))
+       (fun (seed, n, (issue, nfu, pipelined), (prio_mode, releases, prov)) ->
+         let rng = Isched_util.Prng.create seed in
+         let g = Dfg.build ~sync_arcs:false (random_program rng n) in
+         let m = Machine.make ~pipelined ~issue ~nfu () in
+         (* Priorities: the default critical path, random ones with the
+            marker scheduler's -1, or a constant (all ties). *)
+         let priority =
+           match prio_mode with
+           | 0 -> None
+           | 1 -> Some (Array.init n (fun _ -> Isched_util.Prng.int_in rng (-1) 20))
+           | _ -> Some (Array.make n 3)
+         in
+         let release =
+           if releases then Some (Array.init n (fun _ -> Isched_util.Prng.int rng 12)) else None
+         in
+         let got =
+           with_provenance prov (fun () -> List_sched.run ?priority ?release g m)
+         in
+         let lp = Dfg.longest_path_to_exit g in
+         let sorted =
+           List.sort (fun a b -> if lp.(a) <> lp.(b) then compare lp.(b) lp.(a) else compare a b)
+             (List.init n Fun.id)
+         in
+         Array.to_list (Dfg.priority_order g) = sorted
+         && got.Schedule.cycle_of = reference_list ?priority ?release g m))
+
+let test_list_matches_reference_on_corpus () =
+  List.iter
+    (fun (l : Isched_frontend.Ast.loop) ->
+      let g = Dfg.build (Isched_codegen.Codegen.compile l) in
+      List.iter
+        (fun (name, m) ->
+          check
+            Alcotest.(array int)
+            (Printf.sprintf "%s on %s" l.Isched_frontend.Ast.name name)
+            (reference_list g m) (List_sched.run g m).Schedule.cycle_of)
+        Machine.paper_configs)
+    (Isched_perfect.Suite.all_loops ())
+
+(* The compaction rule as first written: retry every empty row, earliest
+   first, from the top after each removal, validating each candidate in
+   full.  Quadratic, so only a test oracle. *)
+let reference_compact (t : Schedule.t) g =
+  let current = ref t in
+  let rec attempt c =
+    let s = !current in
+    if c >= s.Schedule.length then false
+    else if Array.length s.Schedule.rows.(c) > 0 then attempt (c + 1)
+    else
+      let candidate =
+        Schedule.of_cycles s.Schedule.prog s.Schedule.machine
+          (Array.map (fun x -> if x > c then x - 1 else x) s.Schedule.cycle_of)
+      in
+      match Schedule.validate candidate g with
+      | Ok () ->
+        current := candidate;
+        true
+      | Error _ -> attempt (c + 1)
+  in
+  while attempt 0 do
+    ()
+  done;
+  !current
+
+let prop_compact_matches_reference =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"schedule: compact equals the retry-from-the-top oracle"
+       QCheck2.Gen.(
+         tup4 (int_range 0 1_000_000) (int_range 1 40)
+           (triple (int_range 1 4) (int_range 1 2) bool)
+           (int_range 1 3))
+       (fun (seed, n, (issue, nfu, pipelined), stretch) ->
+         let rng = Isched_util.Prng.create seed in
+         let g = Dfg.build ~sync_arcs:false (random_program rng n) in
+         let m = Machine.make ~pipelined ~issue ~nfu () in
+         let s = List_sched.run g m in
+         (* Stretching and inserting gaps only pulls operations apart, so
+            the result stays legal and has empty rows to try. *)
+         let gaps = Array.make (s.Schedule.length + 1) 0 in
+         for c = 1 to s.Schedule.length do
+           gaps.(c) <- gaps.(c - 1) + Isched_util.Prng.int rng 3
+         done;
+         let spread =
+           Schedule.of_cycles g.Dfg.prog m
+             (Array.map (fun c -> (c * stretch) + gaps.(c)) s.Schedule.cycle_of)
+         in
+         (Schedule.compact spread g).Schedule.cycle_of
+         = (reference_compact spread g).Schedule.cycle_of))
+
+(* A critical path of 3,000 divides (18,000+ cycles) once overflowed
+   the list scheduler's packed heap keys. *)
+let long_chain_source =
+  "DOACROSS I = 1, 100\n A[I] = A[I-1]" ^ String.concat "" (List.init 3000 (fun _ -> " / B[I]"))
+  ^ "\nENDDO"
+
+let test_long_critical_path () =
+  let g = Dfg.build (compile long_chain_source) in
+  Alcotest.(check bool) "critical path past 16,381 cycles" true
+    (Array.fold_left max 0 (Dfg.longest_path_to_exit g) > 16_381);
+  let sl = List_sched.run g m4 and sn = Sync_sched.run g m4 in
+  expect_ok g sl;
+  expect_ok g sn;
+  Alcotest.(check bool) "every divide serialized" true (sn.Schedule.length > 18_000)
+
 let all_machines =
   [
     Machine.make ~issue:1 ~nfu:1 ();
@@ -500,4 +738,11 @@ let suite =
     ("schedulers are deterministic", `Quick, test_deterministic_schedules);
     ("corpus x 7 machines: legal and never worse", `Slow, test_corpus_schedules_legal);
     ("corpus: sync conditions hold in every schedule", `Slow, test_sync_conditions_in_schedules);
+    ("resource: byte lanes saturate at 255, wider machines refused", `Quick,
+     test_resource_byte_lanes);
+    prop_list_matches_reference;
+    ("list: equal to the reference on the corpus x paper configs", `Quick,
+     test_list_matches_reference_on_corpus);
+    prop_compact_matches_reference;
+    ("long critical paths schedule", `Quick, test_long_critical_path);
   ]

@@ -458,6 +458,34 @@ let test_handler_errors () =
   expect_error "bad machine" Protocol.Bad_request
     (Server.handle server (Protocol.schedule_request ~issue:0 (Protocol.Corpus_loop "QCD.L1")))
 
+(* Machines wider than the resource tracker's byte lanes are refused
+   as bad requests; the widest legal one schedules. *)
+let test_handler_machine_bounds () =
+  let server = Server.create (Server.default_config ~socket_path:"/tmp/unused.sock") in
+  let loop = Protocol.Corpus_loop (Lazy.force a_doacross_loop) in
+  expect_error "issue width 256" Protocol.Bad_request
+    (Server.handle server (Protocol.schedule_request ~issue:256 loop));
+  expect_error "256 units" Protocol.Bad_request
+    (Server.handle server (Protocol.schedule_request ~nfu:256 loop));
+  match Server.handle server (Protocol.schedule_request ~issue:255 ~nfu:255 loop) with
+  | Protocol.Scheduled { loops = [ _ ]; _ } -> ()
+  | Protocol.Error { message; _ } -> Alcotest.failf "255-wide machine: error %s" message
+  | _ -> Alcotest.fail "255-wide machine: unexpected response"
+
+(* A text loop whose critical path runs past 16,381 cycles (3,000
+   chained divides) gets a schedule, not an internal error. *)
+let test_long_critical_path_served () =
+  let server = Server.create (Server.default_config ~socket_path:"/tmp/unused.sock") in
+  let src =
+    "DOACROSS I = 1, 100\n A[I] = A[I-1]" ^ String.concat "" (List.init 3000 (fun _ -> " / B[I]"))
+    ^ "\nENDDO"
+  in
+  match Server.handle server (Protocol.schedule_request (Protocol.Text src)) with
+  | Protocol.Scheduled { loops = [ r ]; _ } ->
+    Alcotest.(check bool) "every divide serialized" true (r.Protocol.cycles_per_iteration > 18_000)
+  | Protocol.Error { message; _ } -> Alcotest.failf "error %s" message
+  | _ -> Alcotest.fail "unexpected response"
+
 (* --- the schedule-cache key covers sync_elim --- *)
 
 (* The guarded scalar reduction reaches codegen with flow, anti and
@@ -1015,4 +1043,8 @@ let suite =
     Alcotest.test_case "daemon: telemetry is inert when counters are disabled" `Quick
       test_telemetry_inert_when_disabled;
     Alcotest.test_case "daemon: --metrics-file dumps atomically" `Quick test_metrics_file_dump;
+    Alcotest.test_case "server: machines past 255 are bad requests" `Quick
+      test_handler_machine_bounds;
+    Alcotest.test_case "server: long critical paths get a schedule" `Quick
+      test_long_critical_path_served;
   ]
