@@ -10,38 +10,40 @@ type t = {
   is_write : bool;
 }
 
+let make ~stmt ~idx ~target ~is_array ~sub ~is_write =
+  let sub, affine = if is_array then (Some sub, Affine.of_expr sub) else (None, None) in
+  { stmt; idx; target; is_array; sub; affine; is_write }
+
+(* Reads of an expression, inner subscripts before the enclosing
+   reference, left to right; [n] is the index of the first one, and the
+   result the index after the last. *)
+let rec reads_of f n (e : Ast.expr) =
+  match e with
+  | Ast.Num _ | Ast.Ivar -> n
+  | Ast.Scalar name ->
+    f n name false e false;
+    n + 1
+  | Ast.Aref (a, sub) ->
+    let n = reads_of f n sub in
+    f n a true sub false;
+    n + 1
+  | Ast.Bin (_, x, y) -> reads_of f (reads_of f n x) y
+  | Ast.Neg x -> reads_of f n x
+
+(* The evaluation-order walk behind [of_stmt].  It builds no record, so
+   a caller interested in few of the accesses allocates only those. *)
+let iter_stmt (s : Ast.stmt) f =
+  let n = match s.guard with Some c -> reads_of f (reads_of f 0 c.lhs) c.rhs | None -> 0 in
+  let n = match s.lhs with Ast.Larr (_, sub) -> reads_of f n sub | Ast.Lscalar _ -> n in
+  let n = reads_of f n s.rhs in
+  match s.lhs with
+  | Ast.Larr (a, sub) -> f n a true sub true
+  | Ast.Lscalar name -> f n name false s.rhs true
+
 let of_stmt ~stmt (s : Ast.stmt) =
   let acc = ref [] in
-  let n = ref 0 in
-  let push ~target ~is_array ~sub ~is_write =
-    let affine = match sub with Some e -> Affine.of_expr e | None -> None in
-    acc := { stmt; idx = !n; target; is_array; sub; affine; is_write } :: !acc;
-    incr n
-  in
-  (* Reads of an expression, inner subscripts before the enclosing
-     reference, left to right. *)
-  let rec reads_of (e : Ast.expr) =
-    match e with
-    | Ast.Num _ | Ast.Ivar -> ()
-    | Ast.Scalar name -> push ~target:name ~is_array:false ~sub:None ~is_write:false
-    | Ast.Aref (a, sub) ->
-      reads_of sub;
-      push ~target:a ~is_array:true ~sub:(Some sub) ~is_write:false
-    | Ast.Bin (_, x, y) ->
-      reads_of x;
-      reads_of y
-    | Ast.Neg x -> reads_of x
-  in
-  (match s.guard with
-  | Some c ->
-    reads_of c.lhs;
-    reads_of c.rhs
-  | None -> ());
-  (match s.lhs with Ast.Larr (_, sub) -> reads_of sub | Ast.Lscalar _ -> ());
-  reads_of s.rhs;
-  (match s.lhs with
-  | Ast.Larr (a, sub) -> push ~target:a ~is_array:true ~sub:(Some sub) ~is_write:true
-  | Ast.Lscalar name -> push ~target:name ~is_array:false ~sub:None ~is_write:true);
+  iter_stmt s (fun idx target is_array sub is_write ->
+      acc := make ~stmt ~idx ~target ~is_array ~sub ~is_write :: !acc);
   List.rev !acc
 
 let of_loop (l : Ast.loop) =

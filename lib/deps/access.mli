@@ -27,6 +27,16 @@ type t = {
     order. *)
 val of_stmt : stmt:int -> Ast.stmt -> t list
 
+(** [iter_stmt s f] walks the accesses of [s] in the order of
+    {!of_stmt} without building them: [f idx target is_array sub
+    is_write] per access, where [sub] is the subscript of an array
+    access and an unspecified expression for a scalar one.  [make]
+    then builds the record {!of_stmt} would hold for an access. *)
+val iter_stmt : Ast.stmt -> (int -> string -> bool -> Ast.expr -> bool -> unit) -> unit
+
+val make :
+  stmt:int -> idx:int -> target:string -> is_array:bool -> sub:Ast.expr -> is_write:bool -> t
+
 (** [of_loop l] concatenates {!of_stmt} over the body. *)
 val of_loop : Ast.loop -> t list
 

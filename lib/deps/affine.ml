@@ -5,26 +5,46 @@ type t = { coef : int; off : int }
 let const n = { coef = 0; off = n }
 let ivar = { coef = 1; off = 0 }
 
-let rec of_expr (e : Ast.expr) =
+(* One scratch cell per call holds the form of the subexpression just
+   walked, so normalizing a subscript allocates the cell and the result
+   instead of a record and an option per node. *)
+type cell = { mutable c : int; mutable o : int }
+
+let[@inline] set cell c o =
+  cell.c <- c;
+  cell.o <- o;
+  true
+
+let rec walk cell (e : Ast.expr) =
   match e with
-  | Ast.Num x ->
-    if Float.is_integer x && Float.abs x < 1e9 then Some (const (int_of_float x)) else None
-  | Ast.Ivar -> Some ivar
-  | Ast.Scalar _ | Ast.Aref _ -> None
-  | Ast.Neg a -> (
-    match of_expr a with Some { coef; off } -> Some { coef = -coef; off = -off } | None -> None)
-  | Ast.Bin (op, a, b) -> (
-    match (of_expr a, of_expr b) with
-    | Some x, Some y -> (
-      match op with
-      | Ast.Add -> Some { coef = x.coef + y.coef; off = x.off + y.off }
-      | Ast.Sub -> Some { coef = x.coef - y.coef; off = x.off - y.off }
-      | Ast.Mul ->
-        if x.coef = 0 then Some { coef = x.off * y.coef; off = x.off * y.off }
-        else if y.coef = 0 then Some { coef = y.off * x.coef; off = y.off * x.off }
-        else None
-      | Ast.Div -> None)
-    | _ -> None)
+  | Ast.Num x -> Float.is_integer x && Float.abs x < 1e9 && set cell 0 (int_of_float x)
+  | Ast.Ivar -> set cell 1 0
+  | Ast.Scalar _ | Ast.Aref _ -> false
+  | Ast.Neg a -> walk cell a && set cell (-cell.c) (-cell.o)
+  | Ast.Bin (op, a, b) ->
+    walk cell a
+    &&
+    let xc = cell.c and xo = cell.o in
+    walk cell b
+    &&
+    let yc = cell.c and yo = cell.o in
+    (match op with
+    | Ast.Add -> set cell (xc + yc) (xo + yo)
+    | Ast.Sub -> set cell (xc - yc) (xo - yo)
+    | Ast.Mul ->
+      if xc = 0 then set cell (xo * yc) (xo * yo)
+      else if yc = 0 then set cell (yo * xc) (yo * xo)
+      else false
+    | Ast.Div -> false)
+
+let some_ivar = Some ivar
+
+let of_expr e =
+  match e with
+  | Ast.Ivar -> some_ivar
+  | _ ->
+    let cell = { c = 0; o = 0 } in
+    if walk cell e then Some { coef = cell.c; off = cell.o } else None
 
 let eval t i = (t.coef * i) + t.off
 

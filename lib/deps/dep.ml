@@ -78,18 +78,23 @@ let deps_between (l : Ast.loop) (a : Access.t) (b : Access.t) =
       end
     | Some fa, Some fb when span <= enumeration_limit ->
       (* Unequal coefficients: enumerate the bounded iteration space and
-         collect the exact set of (i1, i2) collisions. *)
+         collect the exact set of (i1, i2) collisions.  Only whether the
+         positive distances number zero, one or several matters, so the
+         first one and a "several" flag stand for the set. *)
       let cb = fb.Affine.coef in
-      let deltas = Hashtbl.create 8 in
+      let first = ref 0 and several = ref false in
+      let note d = if !first = 0 then first := d else if d <> !first then several := true in
       let any_zero_intra = ref false in
       for i1 = l.lo to l.hi do
         let v = Affine.eval fa i1 in
         (* Solve cb*i2 + ob = v. *)
         if cb = 0 then begin
           if fb.Affine.off = v then begin
-            (* b touches this cell every iteration: all distances. *)
-            if span >= 1 then Hashtbl.replace deltas 1 ();
-            if span >= 2 then Hashtbl.replace deltas 2 ()
+            (* b touches this cell every iteration: every distance,
+               including 0 (i2 = i1) within the iteration. *)
+            if span >= 1 then note 1;
+            if span >= 2 then note 2;
+            if intra_before a b then any_zero_intra := true
           end
         end
         else begin
@@ -98,7 +103,7 @@ let deps_between (l : Ast.loop) (a : Access.t) (b : Access.t) =
             let i2 = num / cb in
             if i2 >= l.lo && i2 <= l.hi then begin
               let d = i2 - i1 in
-              if d > 0 then Hashtbl.replace deltas d ()
+              if d > 0 then note d
               else if d = 0 && intra_before a b then any_zero_intra := true
             end
           end
@@ -109,17 +114,10 @@ let deps_between (l : Ast.loop) (a : Access.t) (b : Access.t) =
          match make ~src:a ~snk:b ~distance:(Dist 0) with
          | Some d -> acc := d :: !acc
          | None -> ());
-      (match Hashtbl.length deltas with
-      | 0 -> ()
-      | 1 ->
-        let d = Hashtbl.fold (fun k () _ -> k) deltas 0 in
-        (match make ~src:a ~snk:b ~distance:(Dist d) with
-        | Some dep -> acc := dep :: !acc
-        | None -> ())
-      | _ -> (
-        match make ~src:a ~snk:b ~distance:Unknown with
-        | Some dep -> acc := dep :: !acc
-        | None -> ()));
+      (if !first > 0 then
+         match make ~src:a ~snk:b ~distance:(if !several then Unknown else Dist !first) with
+         | Some dep -> acc := dep :: !acc
+         | None -> ());
       !acc
     | _ ->
       (* Not analyzable (non-affine subscript, scalar, or the iteration
@@ -136,29 +134,62 @@ let deps_between (l : Ast.loop) (a : Access.t) (b : Access.t) =
       !acc
   end
 
+let kind_rank = function Flow -> 0 | Anti -> 1 | Output -> 2
+let dist_rank = function Dist n -> n | Unknown -> max_int
+
+(* Lexicographic on (source stmt, sink stmt, kind, distance, source
+   access, sink access). *)
 let dep_order d1 d2 =
-  let key d =
-    ( d.src.Access.stmt,
-      d.snk.Access.stmt,
-      (match d.kind with Flow -> 0 | Anti -> 1 | Output -> 2),
-      (match d.distance with Dist n -> n | Unknown -> max_int),
-      d.src.Access.idx,
-      d.snk.Access.idx )
-  in
-  compare (key d1) (key d2)
+  let c = Int.compare d1.src.Access.stmt d2.src.Access.stmt in
+  if c <> 0 then c
+  else
+    let c = Int.compare d1.snk.Access.stmt d2.snk.Access.stmt in
+    if c <> 0 then c
+    else
+      let c = Int.compare (kind_rank d1.kind) (kind_rank d2.kind) in
+      if c <> 0 then c
+      else
+        let c = Int.compare (dist_rank d1.distance) (dist_rank d2.distance) in
+        if c <> 0 then c
+        else
+          let c = Int.compare d1.src.Access.idx d2.src.Access.idx in
+          if c <> 0 then c else Int.compare d1.snk.Access.idx d2.snk.Access.idx
+
+(* A dependence needs two accesses to one (target, is_array) name with a
+   write among them, and every write is a statement's left-hand side.
+   So the accesses are bucketed by the first statement writing their
+   name (accesses to a name the loop never writes are never built), and
+   only pairs within a bucket are tested. *)
+let rec bucket_of (body : Ast.stmt array) target is_array i =
+  if i = Array.length body then -1
+  else
+    match body.(i).lhs with
+    | Ast.Larr (a, _) when is_array && String.equal a target -> i
+    | Ast.Lscalar v when (not is_array) && String.equal v target -> i
+    | Ast.Larr _ | Ast.Lscalar _ -> bucket_of body target is_array (i + 1)
 
 let analyze (l : Ast.loop) =
-  let accesses = Array.of_list (Access.of_loop l) in
-  let n = Array.length accesses in
+  let body = Array.of_list l.body in
+  let buckets = Array.make (Array.length body) [] in
+  Array.iteri
+    (fun stmt s ->
+      Access.iter_stmt s (fun idx target is_array sub is_write ->
+          let b = bucket_of body target is_array 0 in
+          if b >= 0 then
+            buckets.(b) <- Access.make ~stmt ~idx ~target ~is_array ~sub ~is_write :: buckets.(b)))
+    body;
   let out = ref [] in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      let a = accesses.(i) and b = accesses.(j) in
-      if a.Access.target = b.Access.target && a.Access.is_array = b.Access.is_array
-         && (a.Access.is_write || b.Access.is_write)
-      then out := deps_between l a b @ !out
-    done
-  done;
+  Array.iter
+    (fun accs ->
+      List.iter
+        (fun (a : Access.t) ->
+          List.iter
+            (fun (b : Access.t) ->
+              if a.is_write || b.is_write then
+                match deps_between l a b with [] -> () | ds -> out := ds @ !out)
+            accs)
+        accs)
+    buckets;
   List.sort_uniq dep_order !out
 
 let carried_deps l = List.filter carried (analyze l)

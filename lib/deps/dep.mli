@@ -42,6 +42,14 @@ val sync_distance : t -> int
     sorted by (source stmt, sink stmt, kind, distance). *)
 val analyze : Ast.loop -> t list
 
+(** [deps_between l a b] — the dependences from access [a] to access
+    [b] of loop [l] ([a == b] allowed).  The caller ensures that both
+    name the same target with the same [is_array] and that one of them
+    writes.  {!analyze} is the sorted union of [deps_between] over every
+    such ordered pair; exposed so a reference analysis can be built
+    from it. *)
+val deps_between : Ast.loop -> Access.t -> Access.t -> t list
+
 (** [carried_deps l] is [analyze] restricted to carried dependences. *)
 val carried_deps : Ast.loop -> t list
 

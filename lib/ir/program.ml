@@ -45,20 +45,22 @@ let validate p =
   if p.n_iters < 1 then fail "Program %s: n_iters must be >= 1" p.name;
   (* Register sanity: single assignment, uses within range. *)
   let defined = Array.make (max 1 p.n_regs) false in
+  let cur = ref 0 in
+  let check_use u =
+    let i = !cur in
+    if u < 0 || u >= p.n_regs then fail "Program %s: instr %d uses t%d out of range" p.name (i + 1) u;
+    if not defined.(u) then fail "Program %s: instr %d uses t%d before its definition" p.name (i + 1) u
+  in
   Array.iteri
     (fun i ins ->
+      cur := i;
       (match Instr.def ins with
       | Some d ->
         if d < 0 || d >= p.n_regs then fail "Program %s: instr %d defines t%d out of range" p.name (i + 1) d;
         if defined.(d) then fail "Program %s: t%d defined twice (instr %d)" p.name d (i + 1);
         defined.(d) <- true
       | None -> ());
-      List.iter
-        (fun u ->
-          if u < 0 || u >= p.n_regs then fail "Program %s: instr %d uses t%d out of range" p.name (i + 1) u;
-          if not defined.(u) then
-            fail "Program %s: instr %d uses t%d before its definition" p.name (i + 1) u)
-        (Instr.uses ins);
+      Instr.iter_uses ins check_use;
       match ins with
       | Instr.Load _ | Instr.Store _ ->
         if p.mem.(i) = None then fail "Program %s: instr %d lacks a mem_ref" p.name (i + 1)

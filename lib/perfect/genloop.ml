@@ -47,14 +47,14 @@ let motif_tight rng p =
 let motif_chain rng p ~wid =
   let c = Prng.choose rng carriers in
   let d = distance rng p in
-  let w k = Printf.sprintf "W%d_%d" wid k in
+  let w k = "W" ^ string_of_int wid ^ "_" ^ string_of_int k in
   let consumers =
     List.init
       (Prng.int_in rng 2 4)
       (fun k ->
         let dk = distance rng p in
         mk
-          (Ast.Larr (Printf.sprintf "O%d_%d" wid k, Ast.Ivar))
+          (Ast.Larr ("O" ^ string_of_int wid ^ "_" ^ string_of_int k, Ast.Ivar))
           (Ast.Bin (value_op rng, aref c (i_plus (-dk)), ro_expr rng 1)))
   in
   (* Keep the unavoidable path cheap: the recurrence operation is an
@@ -105,7 +105,7 @@ let motif_indirect rng _p =
 
 let motif_noise rng k =
   mk
-    (Ast.Larr (Printf.sprintf "N%d" k, i_plus (Prng.int_in rng (-1) 1)))
+    (Ast.Larr ("N" ^ string_of_int k, i_plus (Prng.int_in rng (-1) 1)))
     (ro_expr rng 2)
 
 (* A DOALL body: independent writes only. *)
@@ -135,7 +135,7 @@ let doacross_body rng p ~loop_idx =
   | [] -> noise
   | first :: rest -> (first :: noise) @ rest
 
-let relabel body = List.mapi (fun i s -> { s with Ast.label = Printf.sprintf "S%d" (i + 1) }) body
+let relabel body = List.mapi (fun i s -> { s with Ast.label = "S" ^ string_of_int (i + 1) }) body
 
 (* One loop of the (conceptually infinite) generated stream.  The
    per-loop generator is addressed by [Prng.split_nth], so [nth] is a
@@ -152,7 +152,7 @@ let nth (p : Profile.t) idx =
     Ast.make_loop
       ~kind:(if doall then Ast.Do else Ast.Doacross)
       ~index:"I" ~lo:1 ~hi:p.Profile.n_iters ~body:(relabel body)
-      ~name:(Printf.sprintf "%s.G%d" p.Profile.name (idx + 1))
+      ~name:(p.Profile.name ^ ".G" ^ string_of_int (idx + 1))
   in
   Isched_frontend.Sema.check_exn loop;
   loop

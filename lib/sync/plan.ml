@@ -11,18 +11,20 @@ let stmt_label (l : Ast.loop) i =
 
 let of_deps (l : Ast.loop) deps =
   let carried = List.filter Dep.carried deps in
-  (* Signals: one per distinct source access, in deterministic order. *)
-  let sig_tbl : (int * int, int) Hashtbl.t = Hashtbl.create 8 in
+  (* Signals: one per distinct source access, in deterministic order.
+     A loop has a handful, so a scan finds an access's signal. *)
   let signals = Isched_util.Vec.create () in
   let signal_of (a : Access.t) =
-    let key = (a.stmt, a.idx) in
-    match Hashtbl.find_opt sig_tbl key with
-    | Some s -> s
-    | None ->
-      let s = Isched_util.Vec.length signals in
-      Hashtbl.add sig_tbl key s;
-      Isched_util.Vec.push signals { signal = s; src = a; label = stmt_label l a.stmt };
-      s
+    let rec find s =
+      if s = Isched_util.Vec.length signals then begin
+        Isched_util.Vec.push signals { signal = s; src = a; label = stmt_label l a.stmt };
+        s
+      end
+      else
+        let src = (Isched_util.Vec.get signals s).src in
+        if src.stmt = a.stmt && src.idx = a.idx then s else find (s + 1)
+    in
+    find 0
   in
   let pairs =
     List.mapi

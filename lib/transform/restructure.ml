@@ -43,8 +43,10 @@ let fresh_name names base suffix =
   go 0
 
 let scalar_writes (l : Ast.loop) name =
-  List.filteri (fun _ (s : Ast.stmt) -> s.lhs = Ast.Lscalar name) l.body
-  |> List.length
+  List.fold_left
+    (fun n (s : Ast.stmt) ->
+      match s.lhs with Ast.Lscalar v when String.equal v name -> n + 1 | _ -> n)
+    0 l.body
 
 (* The integer constant value of an expression, when it is one. *)
 let const_int (e : Ast.expr) =
@@ -221,7 +223,9 @@ let scalars_written (l : Ast.loop) =
   |> List.sort_uniq compare
 
 let run (l : Ast.loop) =
-  let names = all_names l in
+  (* Only a reduction or an expansion needs fresh names, and most loops
+     have neither. *)
+  let names = lazy (all_names l) in
   let actions = ref [] in
   let loop = ref l in
   (* Induction variables, repeatedly (substituting one can expose another
@@ -239,7 +243,7 @@ let run (l : Ast.loop) =
   while !continue_ do
     match find_reduction !loop with
     | Some r ->
-      let l', act = replace_reduction names !loop r in
+      let l', act = replace_reduction (Lazy.force names) !loop r in
       loop := l';
       actions := act :: !actions
     | None -> continue_ := false
@@ -248,7 +252,7 @@ let run (l : Ast.loop) =
   List.iter
     (fun name ->
       if expandable !loop name then begin
-        let l', act = expand_scalar names !loop name in
+        let l', act = expand_scalar (Lazy.force names) !loop name in
         loop := l';
         actions := act :: !actions
       end)

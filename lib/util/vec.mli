@@ -1,6 +1,7 @@
 (** Growable array (amortised O(1) append), the workhorse buffer for
     instruction emission in the code generator and row construction in the
-    schedulers. *)
+    schedulers.  Elements are stored unboxed: a push allocates only when
+    the backing array grows. *)
 
 type 'a t
 
@@ -50,5 +51,7 @@ val ensure_size : 'a t -> int -> 'a -> unit
     default. *)
 val get_or : 'a t -> int -> 'a -> 'a
 
-(** [clear v] removes all elements (keeps capacity). *)
+(** [clear v] removes all elements and keeps the capacity.  The removed
+    elements stay reachable from [v] until overwritten or until [v]
+    itself is dropped. *)
 val clear : 'a t -> unit

@@ -20,4 +20,5 @@ let () =
       ("extensions", Test_extensions.suite);
       ("properties", Test_props.suite);
       ("serve", Test_serve.suite);
+      ("prepare", Test_prepare.suite);
     ]
