@@ -226,10 +226,10 @@ module Profile = Isched_perfect.Profile
    summaries gives totals independent of chunking and job count. *)
 type chunk_summary = {
   cs_profile : string;
-  cs_stats : int array;  (* lines, loops, doall, dlx, lfd, lbd *)
-  cs_meas : (string * int * int) list;  (* config -> (t_list, t_new) *)
-  cs_cats : int list;  (* per-category counts @ [doall], categories order *)
-  cs_sync_ops : int;  (* Send/Wait instructions over the DOACROSS programs *)
+  cs_stats : int array;
+  cs_meas : (string * int * int) list;
+  cs_cats : int list;
+  cs_sync_ops : int;
 }
 
 let count_sync_ops (p : Program.t) =
@@ -237,68 +237,54 @@ let count_sync_ops (p : Program.t) =
     (fun acc i -> if Isched_ir.Instr.is_sync i then acc + 1 else acc)
     0 p.Program.body
 
+(* Loop-major: each loop is prepared, counted, measured under every
+   config and categorized before the next one is prepared, so only one
+   loop's program and graphs are alive at a time and they die young
+   instead of being promoted while the rest of the chunk is prepared. *)
 let summarize_chunk ?(options = Pipeline.default_options) configs (c : Suite.chunk) =
   let module Doall = Isched_transform.Doall in
-  let loops = Suite.chunk_loops c in
-  (* [prepare_uncached]: a 1000x corpus must not accumulate in the memo. *)
-  let prepared = List.map (fun l -> (l, Pipeline.prepare_uncached options l)) loops in
-  let source_lines = List.fold_left (fun acc (l, _) -> acc + Ast.source_lines l) 0 prepared in
-  let doacross =
-    List.filter_map
-      (fun (l, p) -> match p with Pipeline.Doacross _ -> Some (l, p) | Pipeline.Doall _ -> None)
-      prepared
-  in
-  let n_doall = List.length prepared - List.length doacross in
-  let progs =
-    List.filter_map
-      (fun (_, p) -> match p with Pipeline.Doacross { prog; _ } -> Some prog | _ -> None)
-      doacross
-  in
-  let dlx = List.fold_left (fun acc p -> acc + Array.length p.Program.body) 0 progs in
-  let lfd = List.fold_left (fun acc p -> acc + Program.n_lfd p) 0 progs in
-  let lbd = List.fold_left (fun acc p -> acc + Program.n_lbd p) 0 progs in
-  let cs_sync_ops = List.fold_left (fun acc p -> acc + count_sync_ops p) 0 progs in
-  let cs_meas =
-    List.map
-      (fun (cname, m) ->
-        let tl, tn =
-          List.fold_left
-            (fun (atl, atn) (_, p) ->
-              let tl, tn = Pipeline.list_and_new_times ~options p m in
-              (atl + tl, atn + tn))
-            (0, 0) doacross
-        in
-        (cname, tl, tn))
-      configs
-  in
-  let counts = Hashtbl.create 8 in
+  let cats = Array.of_list Doall.all_categories in
+  let cat_counts = Array.make (Array.length cats) 0 in
+  let configs = Array.of_list configs in
+  let t_list = Array.make (Array.length configs) 0 and t_new = Array.make (Array.length configs) 0 in
+  let lines = ref 0 and loops = ref 0 and doall = ref 0 in
+  let dlx = ref 0 and lfd = ref 0 and lbd = ref 0 and sync_ops = ref 0 in
   List.iter
-    (fun (l, p) ->
-      (* Categorization reads the dependences of the ORIGINAL loop; when
-         restructuring was the identity (the common case for loops that
-         stay DOACROSS) those are exactly the [carried] the preparation
-         already computed. *)
-      let cat =
-        match p with
-        | Pipeline.Doacross { restructured; carried; _ }
-          when restructured.Isched_transform.Restructure.loop == l ->
-          Doall.categorize ~carried l
-        | _ -> Doall.categorize l
-      in
-      Hashtbl.replace counts cat (1 + Option.value ~default:0 (Hashtbl.find_opt counts cat)))
-    doacross;
-  let cs_cats =
-    List.map
-      (fun cat -> Option.value ~default:0 (Hashtbl.find_opt counts cat))
-      Doall.all_categories
-    @ [ n_doall ]
-  in
+    (fun l ->
+      lines := !lines + Ast.source_lines l;
+      incr loops;
+      (* [prepare_uncached]: a 1000x corpus must not accumulate in the memo. *)
+      match Pipeline.prepare_uncached options l with
+      | Pipeline.Doall _ -> incr doall
+      | Pipeline.Doacross { restructured; carried; prog; _ } as p ->
+        dlx := !dlx + Array.length prog.Program.body;
+        lfd := !lfd + Program.n_lfd prog;
+        lbd := !lbd + Program.n_lbd prog;
+        sync_ops := !sync_ops + count_sync_ops prog;
+        Array.iteri
+          (fun i (_, m) ->
+            let tl, tn = Pipeline.list_and_new_times ~options p m in
+            t_list.(i) <- t_list.(i) + tl;
+            t_new.(i) <- t_new.(i) + tn)
+          configs;
+        (* Categorization reads the dependences of the ORIGINAL loop;
+           when restructuring was the identity (the common case for
+           loops that stay DOACROSS) those are exactly the [carried] the
+           preparation already computed. *)
+        let cat =
+          if restructured.Isched_transform.Restructure.loop == l then Doall.categorize ~carried l
+          else Doall.categorize l
+        in
+        let rec index i = if cats.(i) = cat then i else index (i + 1) in
+        let i = index 0 in
+        cat_counts.(i) <- cat_counts.(i) + 1)
+    (Suite.chunk_loops c);
   {
     cs_profile = c.Suite.profile.Profile.name;
-    cs_stats = [| source_lines; List.length loops; n_doall; dlx; lfd; lbd |];
-    cs_meas;
-    cs_cats;
-    cs_sync_ops;
+    cs_stats = [| !lines; !loops; !doall; !dlx; !lfd; !lbd |];
+    cs_meas = List.init (Array.length configs) (fun i -> (fst configs.(i), t_list.(i), t_new.(i)));
+    cs_cats = Array.to_list cat_counts @ [ !doall ];
+    cs_sync_ops = !sync_ops;
   }
 
 let scaled_tables ?options ?jobs ?(chunk_size = 64) ~scale profiles configs =

@@ -72,6 +72,23 @@ val scaled_tables :
   (string * Machine.t) list ->
   Table.t * measurement list * Table.t * int
 
+(** One (profile x chunk) cell of {!scaled_tables}, reduced to sums of
+    per-loop ints. *)
+type chunk_summary = {
+  cs_profile : string;
+  cs_stats : int array;  (** source lines, loops, doall, dlx, lfd, lbd *)
+  cs_meas : (string * int * int) list;  (** per config, in order: (name, t_list, t_new) *)
+  cs_cats : int list;  (** per category, in {!Isched_transform.Doall.all_categories} order, then doall *)
+  cs_sync_ops : int;  (** Send/Wait instructions over the DOACROSS programs *)
+}
+
+(** [summarize_chunk ?options configs c] — the summary of one chunk.
+    Loop-major: each loop is prepared (uncached), counted, timed under
+    every config and categorized before the next loop is prepared, so at
+    most one loop's program and graphs are alive at a time. *)
+val summarize_chunk :
+  ?options:Pipeline.options -> (string * Machine.t) list -> Isched_perfect.Suite.chunk -> chunk_summary
+
 (** {2 Ablations} *)
 
 (** A1: value of ordering sync-path groups by damage [(n/d)|SP|]. *)

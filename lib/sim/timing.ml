@@ -45,114 +45,228 @@ let () =
 (* The LBD loop theorem (PAPER.md Section 3) prices a loop as
    (n/d)(i-j) + l: past a fill transient the per-iteration offset is
    constant, so the tail of the simulation is an arithmetic progression.
-   [run_rows] simulates iterations in order as before but watches for
-   that steady state — once every component of the iteration state
-   (start, retirement, signal-post cycles, stalls) advances by one
-   uniform constant per period, the remaining iterations are written out
-   closed-form instead of simulated row by row. The periodic invariant
-   is checked on real data over a window covering every dependence lag,
-   which makes the extrapolation exact, not approximate (cross-checked
-   against the full simulation in test_sim). *)
+   [run_rows] simulates iterations in order but watches for that steady
+   state — once every component of the iteration state (start,
+   retirement, signal-post cycles) advances by one uniform constant per
+   period, the remaining iterations are written out closed-form instead
+   of simulated row by row.  The periodic invariant is checked on real
+   data over a window covering every dependence lag, which makes the
+   extrapolation exact, not approximate (cross-checked against the full
+   simulation in test_sim). *)
+
+(* Per-domain scratch, reused across runs: a scaled tables pass times
+   tens of thousands of schedules, and only the result escapes (copied
+   out fresh).  [finish]/[start] hold one entry per iteration;
+   [post.(k * n_signals + s)] is the cycle at which iteration [k]
+   executed the Send of signal [s], written only for the signals in
+   [sent_list] (those with a Send in the rows).
+
+   Events: an iteration's clock advances exactly one cycle per row,
+   except at rows holding a Wait (which can stall it) or a Send (which
+   must record its post cycle).  [ev] lists those rows in order, each as
+   its row index, its number of waits and of sends, then a (wait id,
+   signal, distance) triple per wait and a signal id per send, both in
+   row order (the waits of a row resolve before its sends post). *)
+type scratch = {
+  mutable finish : int array;
+  mutable start : int array;
+  mutable post : int array;
+  mutable sent : int array;  (* per signal: 1 when a Send of it is in the rows *)
+  mutable sent_list : int array;
+  mutable n_sent : int;
+  mutable ev : int array;
+  mutable n_ev : int;
+  mutable row_sends : int array;  (* the sends of the row being scanned *)
+}
+
+let scratch_key =
+  Domain.DLS.new_key (fun () ->
+      {
+        finish = [||];
+        start = [||];
+        post = [||];
+        sent = [||];
+        sent_list = [||];
+        n_sent = 0;
+        ev = [||];
+        n_ev = 0;
+        row_sends = [||];
+      })
+
+let[@inline] grow a n = if Array.length a >= n then a else Array.make (max n (2 * Array.length a)) 0
+
+(* Unchecked access for the kernel's loops.  Every index is in range by
+   construction: [scan] writes events below the size it grew [ev] to
+   from the row and entry counts, and the loops read them back in the
+   order written; iterations are below [n] in arrays grown to [n]; post
+   cells are [k * n_signals + s] with [k < n] and a signal id [s] that
+   [scan] checked against the program's table (and a wait's source
+   iteration is below [k], as [scan] also checked its distance is
+   positive). *)
+external ( .!() ) : int array -> int -> int = "%array_unsafe_get"
+external ( .!()<- ) : int array -> int -> int -> unit = "%array_unsafe_set"
+
+let check_signal (p : Program.t) s =
+  if s < 0 || s >= Array.length p.Program.signals then
+    invalid_arg (Printf.sprintf "Timing.run_rows: %s: unknown signal %d" p.Program.name s)
+
+(* One scan of the rows fills the event list and the sent signals. *)
+let scan sc (p : Program.t) rows =
+  let n_signals = Array.length p.Program.signals in
+  let n_rows = Array.length rows in
+  let entries = ref 0 and widest = ref 0 in
+  for r = 0 to n_rows - 1 do
+    let len = Array.length rows.(r) in
+    entries := !entries + len;
+    if len > !widest then widest := len
+  done;
+  sc.ev <- grow sc.ev ((3 * n_rows) + (3 * !entries));
+  sc.row_sends <- grow sc.row_sends !widest;
+  if Array.length sc.sent < n_signals then begin
+    sc.sent <- Array.make (max n_signals (2 * Array.length sc.sent)) 0;
+    sc.sent_list <- Array.make (Array.length sc.sent) 0
+  end
+  else
+    for s = 0 to n_signals - 1 do
+      sc.sent.!(s) <- 0
+    done;
+  let body = p.Program.body and waits = p.Program.waits and sent = sc.sent in
+  let ev = sc.ev and row_sends = sc.row_sends in
+  let pos = ref 0 and n_ev = ref 0 and n_sent = ref 0 in
+  for r = 0 to n_rows - 1 do
+    let row = rows.(r) in
+    let head = !pos in
+    pos := head + 3;
+    let nw = ref 0 and ns = ref 0 in
+    for x = 0 to Array.length row - 1 do
+      match body.(row.!(x)) with
+      | Instr.Wait { wait } ->
+        let w = waits.(wait) in
+        check_signal p w.Program.signal;
+        if w.Program.distance < 1 then
+          invalid_arg
+            (Printf.sprintf "Timing.run_rows: %s: wait %d has distance %d" p.Program.name wait
+               w.Program.distance);
+        ev.!(!pos) <- wait;
+        ev.!(!pos + 1) <- w.Program.signal;
+        ev.!(!pos + 2) <- w.Program.distance;
+        pos := !pos + 3;
+        incr nw
+      | Instr.Send { signal } ->
+        check_signal p signal;
+        row_sends.!(!ns) <- signal;
+        incr ns;
+        if sent.!(signal) = 0 then begin
+          sent.!(signal) <- 1;
+          sc.sent_list.!(!n_sent) <- signal;
+          incr n_sent
+        end
+      | _ -> ()
+    done;
+    if !nw = 0 && !ns = 0 then pos := head
+    else begin
+      ev.!(head) <- r;
+      ev.!(head + 1) <- !nw;
+      ev.!(head + 2) <- !ns;
+      for x = 0 to !ns - 1 do
+        ev.!(!pos + x) <- row_sends.!(x)
+      done;
+      pos := !pos + !ns;
+      incr n_ev
+    end
+  done;
+  sc.n_ev <- !n_ev;
+  sc.n_sent <- !n_sent
+
+(* Iteration [k] on a processor free from cycle [proc_free]: writes the
+   start and retirement of [k] and the posts of its sends, and returns
+   the cycles [k] stalled.  Row [r] issues at [proc_free + r] plus the
+   stalls met so far.  Signals flow from lower iterations, simulated
+   already, so a signal whose Send is in the rows has always been posted
+   by [k - distance]; an unsent one means the Send is absent from the
+   row layout — an invalid schedule, not a simulator bug — and is
+   diagnosed as such. *)
+let simulate sc (p : Program.t) n_rows k proc_free =
+  let n_signals = Array.length p.Program.signals in
+  let post = sc.post and sent = sc.sent and ev = sc.ev in
+  let stalls = ref 0 in
+  (* The iteration start is the issue cycle of row 0: [proc_free] unless
+     row 0 itself holds a wait that pushes it. *)
+  let start = ref proc_free in
+  let pos = ref 0 in
+  for _ = 1 to sc.n_ev do
+    let r = ev.!(!pos) and nw = ev.!(!pos + 1) and ns = ev.!(!pos + 2) in
+    pos := !pos + 3;
+    let earliest = proc_free + r + !stalls in
+    let ready = ref earliest in
+    for _ = 1 to nw do
+      let signal = ev.!(!pos + 1) in
+      let from = k - ev.!(!pos + 2) in
+      if from >= 0 then begin
+        if sent.!(signal) = 0 then
+          raise
+            (Invalid_schedule
+               {
+                 prog = p.Program.name;
+                 iteration = k;
+                 wait = ev.!(!pos);
+                 signal;
+                 posting_iteration = from;
+               });
+        let posted = post.!((from * n_signals) + signal) in
+        if posted + 1 > !ready then ready := posted + 1
+      end;
+      pos := !pos + 3
+    done;
+    stalls := !stalls + (!ready - earliest);
+    if r = 0 then start := !ready;
+    for _ = 1 to ns do
+      post.!((k * n_signals) + ev.!(!pos)) <- !ready;
+      incr pos
+    done
+  done;
+  sc.start.!(k) <- !start;
+  sc.finish.!(k) <- proc_free + n_rows + !stalls;
+  !stalls
+
+(* Does every signal post of [k] lead [k - period]'s by [d]?  A signal
+   without a Send is never posted, so its delta is 0. *)
+let posts_shift_by sc n_signals k period d =
+  if sc.n_sent < n_signals && d <> 0 then false
+  else begin
+    let post = sc.post and ok = ref true and i = ref 0 in
+    while !ok && !i < sc.n_sent do
+      let s = sc.sent_list.!(!i) in
+      if post.!((k * n_signals) + s) - post.!(((k - period) * n_signals) + s) <> d then ok := false;
+      incr i
+    done;
+    !ok
+  end
+
+(* The cycle from which iteration [k]'s processor is free: with a
+   limited pool, iteration [k] waits for its processor's previous
+   iteration.  Cyclic: the predecessor is k - n_procs.  Block: chunks of
+   [block] consecutive iterations share a processor. *)
+let[@inline] proc_free finish ~cyclic ~n_procs ~block k =
+  if cyclic then if k >= n_procs then finish.!(k - n_procs) else 0
+  else if k mod block <> 0 then finish.!(k - 1)
+  else 0
 
 let run_rows_inner ?n_procs ?(assignment = `Cyclic) ?(extrapolate = true) (p : Program.t) rows =
   let n = p.Program.n_iters in
   let n_procs = match n_procs with None -> n | Some np -> np in
   if n_procs < 1 then invalid_arg "Timing.run_rows: n_procs must be >= 1";
-  (* finish_at.(k) = retirement cycle of iteration k; with a limited
-     processor pool, iteration k waits for its processor's previous
-     iteration.  Cyclic: the predecessor is k - n_procs.  Block: chunks
-     of ceil(n / n_procs) consecutive iterations share a processor. *)
   let block = (n + n_procs - 1) / n_procs in
   let limited = n_procs < n in
-  let prev_on_proc k =
-    match assignment with
-    | `Cyclic -> if k >= n_procs then Some (k - n_procs) else None
-    | `Block -> if k mod block <> 0 then Some (k - 1) else None
-  in
-  let finish_at = Array.make (max n 1) 0 in
-  (* post.(signal).(k) = cycle at which iteration k's Send executed;
-     -1 when not yet (or never) posted. *)
+  let cyclic = match assignment with `Cyclic -> true | `Block -> false in
   let n_signals = Array.length p.Program.signals in
-  let post = Array.init n_signals (fun _ -> Array.make (max n 1) (-1)) in
-  let iteration_starts = Array.make (max n 1) 0 in
-  let stall_of = Array.make (max n 1) 0 in
-  (* Event compression: an iteration's clock advances exactly one cycle
-     per row, except at rows containing a Wait (which can stall it) or a
-     Send (which must record its post cycle).  Collecting those rows
-     once lets [simulate] skip every plain row in O(1) instead of
-     re-matching the whole body per iteration. *)
   let n_rows = Array.length rows in
-  let ev_rows, ev_waits, ev_sends =
-    let rs = ref [] and ws = ref [] and ss = ref [] in
-    for r = n_rows - 1 downto 0 do
-      let row_waits = ref [] and row_sends = ref [] in
-      let row = rows.(r) in
-      for x = Array.length row - 1 downto 0 do
-        match p.Program.body.(row.(x)) with
-        | Instr.Wait { wait } -> row_waits := wait :: !row_waits
-        | Instr.Send { signal } -> row_sends := signal :: !row_sends
-        | _ -> ()
-      done;
-      if !row_waits <> [] || !row_sends <> [] then begin
-        rs := r :: !rs;
-        ws := Array.of_list !row_waits :: !ws;
-        ss := Array.of_list !row_sends :: !ss
-      end
-    done;
-    (Array.of_list !rs, Array.of_list !ws, Array.of_list !ss)
-  in
-  let n_ev = Array.length ev_rows in
-  let simulate k =
-    let proc_free = match prev_on_proc k with Some j -> finish_at.(j) | None -> 0 in
-    let t = ref (proc_free - 1) in
-    let stalls = ref 0 in
-    (* The iteration start is the clock after row 0: [proc_free] unless
-       row 0 itself holds a wait that pushes it. *)
-    let start0 = ref proc_free in
-    let prev_row = ref (-1) in
-    for e = 0 to n_ev - 1 do
-      let r = ev_rows.(e) in
-      t := !t + (r - !prev_row - 1);
-      let earliest = !t + 1 in
-      let ready = ref earliest in
-      let ws = ev_waits.(e) in
-      for x = 0 to Array.length ws - 1 do
-        let w = p.Program.waits.(ws.(x)) in
-        let from = k - w.Program.distance in
-        if from >= 0 then begin
-          let posted = post.(w.Program.signal).(from) in
-          (* Signals flow from lower iterations, simulated already; a
-             send present in the rows has always executed by now.
-             [posted < 0] therefore means the matching Send is absent
-             from the row layout — an invalid schedule, not a simulator
-             bug — and is diagnosed as such. *)
-          if posted < 0 then
-            raise
-              (Invalid_schedule
-                 {
-                   prog = p.Program.name;
-                   iteration = k;
-                   wait = w.Program.wait;
-                   signal = w.Program.signal;
-                   posting_iteration = from;
-                 });
-          if posted + 1 > !ready then ready := posted + 1
-        end
-      done;
-      stalls := !stalls + (!ready - earliest);
-      t := !ready;
-      if r = 0 then start0 := !t;
-      let ss = ev_sends.(e) in
-      for x = 0 to Array.length ss - 1 do
-        post.(ss.(x)).(k) <- !t
-      done;
-      prev_row := r
-    done;
-    t := !t + (n_rows - 1 - !prev_row);
-    iteration_starts.(k) <- (if n_rows = 0 then proc_free else !start0);
-    finish_at.(k) <- !t + 1;
-    stall_of.(k) <- !stalls
-  in
+  let sc = Domain.DLS.get scratch_key in
+  sc.finish <- grow sc.finish n;
+  sc.start <- grow sc.start n;
+  sc.post <- grow sc.post (n * n_signals);
+  scan sc p rows;
+  let finish = sc.finish and start = sc.start in
   (* Steady-state parameters.  [period]: the lag at which the iteration
      recurrence repeats (1 with a full pool; the pool size under cyclic
      assignment; the chunk size under block assignment, where chunk
@@ -161,14 +275,14 @@ let run_rows_inner ?n_procs ?(assignment = `Cyclic) ?(extrapolate = true) (p : P
      invariant for the extrapolation to be exact.  [guard]: first
      iteration from which the recurrence shape is the same at k and
      k - period. *)
-  let d_max =
-    Array.fold_left (fun acc (w : Program.wait_info) -> max acc w.Program.distance) 0 p.Program.waits
-  in
-  let period =
-    if not limited then 1 else match assignment with `Cyclic -> n_procs | `Block -> block
-  in
-  let lag = max d_max (if limited then match assignment with `Cyclic -> n_procs | `Block -> 1 else 1) in
-  let guard = period + max 1 (max d_max (if limited && assignment = `Cyclic then n_procs else 0)) in
+  let d_max = ref 0 in
+  for w = 0 to Array.length p.Program.waits - 1 do
+    d_max := max !d_max p.Program.waits.(w).Program.distance
+  done;
+  let d_max = !d_max in
+  let period = if not limited then 1 else if cyclic then n_procs else block in
+  let lag = max d_max (if limited && cyclic then n_procs else 1) in
+  let guard = period + max 1 (max d_max (if limited && cyclic then n_procs else 0)) in
   (* The window must cover a full period on top of the input lag:
      under block assignment the residue classes mod [period] behave
      differently (chunk-boundary iterations have no processor edge), so
@@ -176,83 +290,82 @@ let run_rows_inner ?n_procs ?(assignment = `Cyclic) ?(extrapolate = true) (p : P
      is extrapolated. *)
   let window = period + lag + 2 in
   let usable = extrapolate && period <= 512 && n > guard + window + period in
-  (* Detection: a run of consecutive iterations whose full state vector
-     advances by one shared constant [lambda] over [period]. *)
-  let run_len = ref 0 in
-  let lambda = ref 0 in
-  let lambda_start = ref 0 in
-  let state_delta k =
-    (* Delta of state(k) - state(k - period): finish and every signal
-       post must share one constant; the iteration start may instead be
-       exactly constant (delta 0), which happens when the first row has
-       no applicable wait and the processor-free input is pinned at
-       cycle 0 — then its ready-max contains no growing term, so no
-       later dominance crossover is possible.  Stalls are excluded: they
-       are not shift-covariant at chunk boundaries and are reconstructed
-       exactly from the finish times instead. *)
-    let d = finish_at.(k) - finish_at.(k - period) in
-    let ds = iteration_starts.(k) - iteration_starts.(k - period) in
-    if
-      (ds = d || ds = 0)
-      &&
-      let ok = ref true in
-      for s = 0 to n_signals - 1 do
-        if post.(s).(k) - post.(s).(k - period) <> d then ok := false
-      done;
-      !ok
-    then Some (d, ds)
-    else None
-  in
-  let stable_at = ref None in
-  let k = ref 0 in
-  while !k < n && !stable_at = None do
-    simulate !k;
-    (if usable && !k >= guard + period then
-       match state_delta !k with
-       | Some (d, ds) when !run_len > 0 && d = !lambda && ds = !lambda_start ->
-         incr run_len;
-         if !run_len >= window then stable_at := Some !k
-       | Some (d, ds) ->
-         run_len := 1;
-         lambda := d;
-         lambda_start := ds
-       | None -> run_len := 0);
+  (* Detection: a run of consecutive iterations whose state advances by
+     one shared constant [lambda] over [period].  Finish and every
+     signal post must share it; the iteration start may instead be
+     exactly constant (delta 0), which happens when the first row has
+     no applicable wait and the processor-free input is pinned at cycle
+     0 — then its ready-max contains no growing term, so no later
+     dominance crossover is possible.  Stalls are excluded: they are not
+     shift-covariant at chunk boundaries and are reconstructed exactly
+     from the finish times instead.  [stable] is the iteration after
+     which the tail is extrapolated, or -1. *)
+  let run_len = ref 0 and lambda = ref 0 and lambda_start = ref 0 in
+  let stable = ref (-1) and k = ref 0 in
+  let last = ref 0 and stalls = ref 0 in
+  while !k < n && !stable < 0 do
+    let kk = !k in
+    stalls := !stalls + simulate sc p n_rows kk (proc_free finish ~cyclic ~n_procs ~block kk);
+    if finish.!(kk) > !last then last := finish.!(kk);
+    if usable && kk >= guard + period then begin
+      let d = finish.!(kk) - finish.!(kk - period) in
+      let ds = start.!(kk) - start.!(kk - period) in
+      if (ds = d || ds = 0) && posts_shift_by sc n_signals kk period d then begin
+        if !run_len > 0 && d = !lambda && ds = !lambda_start then begin
+          incr run_len;
+          if !run_len >= window then stable := kk
+        end
+        else begin
+          run_len := 1;
+          lambda := d;
+          lambda_start := ds
+        end
+      end
+      else run_len := 0
+    end;
     incr k
   done;
-  (match !stable_at with
-  | None -> ()
-  | Some k_s ->
+  let stable = !stable in
+  if stable >= 0 then begin
     (* Closed-form tail: every residue class mod [period] keeps adding
        [lambda] per period from its last simulated representative.  The
        stall count follows from the timing identity
        finish = proc_free + n_rows + stalls (each row costs one cycle
        plus its stall), which holds whether or not the iteration sits at
        a chunk boundary. *)
-    let n_rows = Array.length rows in
-    for k = k_s + 1 to n - 1 do
-      iteration_starts.(k) <- iteration_starts.(k - period) + !lambda_start;
-      finish_at.(k) <- finish_at.(k - period) + !lambda;
-      let proc_free = match prev_on_proc k with Some j -> finish_at.(j) | None -> 0 in
-      stall_of.(k) <- finish_at.(k) - proc_free - n_rows
-    done);
-  (match !stable_at with
-  | Some k_s ->
+    let lambda = !lambda and lambda_start = !lambda_start in
+    if limited then
+      for k = stable + 1 to n - 1 do
+        start.!(k) <- start.!(k - period) + lambda_start;
+        let f = finish.!(k - period) + lambda in
+        finish.!(k) <- f;
+        if f > !last then last := f;
+        stalls := !stalls + (f - proc_free finish ~cyclic ~n_procs ~block k - n_rows)
+      done
+    else begin
+      (* A full pool: period 1 and every processor free from cycle 0.
+         The running values stay in registers rather than being read
+         back from the cell just written. *)
+      let st = ref start.!(stable) and f = ref finish.!(stable) in
+      for k = stable + 1 to n - 1 do
+        st := !st + lambda_start;
+        f := !f + lambda;
+        start.!(k) <- !st;
+        finish.!(k) <- !f;
+        if !f > !last then last := !f;
+        stalls := !stalls + (!f - n_rows)
+      done
+    end;
     Counters.incr c_extrapolated;
-    Counters.add c_saved_iters (n - 1 - k_s)
-  | None -> Counters.incr c_full_sim);
-  let finish = ref 0 in
-  let stalls = ref 0 in
-  for k = 0 to n - 1 do
-    finish := max !finish finish_at.(k);
-    stalls := !stalls + stall_of.(k)
-  done;
-  let trim a = if n = 0 then [||] else a in
+    Counters.add c_saved_iters (n - 1 - stable)
+  end
+  else Counters.incr c_full_sim;
   {
-    finish = !finish;
-    iteration_starts = trim iteration_starts;
-    iteration_finishes = trim finish_at;
+    finish = !last;
+    iteration_starts = Array.sub start 0 n;
+    iteration_finishes = Array.sub finish 0 n;
     stall_cycles = !stalls;
-    extrapolated_from = !stable_at;
+    extrapolated_from = (if stable >= 0 then Some stable else None);
   }
 
 let run_rows ?n_procs ?assignment ?extrapolate (p : Program.t) rows =

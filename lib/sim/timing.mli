@@ -9,8 +9,14 @@
 
     Because signals only flow from lower-numbered iterations to higher
     (distances are positive), iterations can be simulated in increasing
-    order, which makes this simulator O(n * rows) and exact for timing —
-    it is what the benchmark harness uses to produce Table 2. *)
+    order.  One scan of the rows collects the sync events (the rows
+    holding a [Wait] or a [Send]; the clock crosses every other row in
+    one step), so a run costs that scan plus O(sync events) per
+    simulated iteration, and O(1) per iteration the steady-state fast
+    path extrapolates.  The simulation is exact for timing — it is what
+    the benchmark harness uses to produce Table 2 — and allocates only
+    the returned result: its working state is per-domain scratch reused
+    across runs. *)
 
 type result = {
   finish : int;  (** parallel execution time: cycle count until the last
@@ -56,7 +62,9 @@ exception
     iteration; with fewer, iterations are assigned per [assignment]
     (default [`Cyclic]) and an iteration cannot start before its
     processor's previous iteration retires.  Raises [Invalid_argument]
-    if [n_procs < 1].
+    if [n_procs < 1], or if a [Wait] or [Send] of the layout names a
+    signal outside the program's table or a wait distance below 1
+    (which {!Isched_ir.Program.validate} rules out).
 
     [extrapolate] (default [true]) enables the steady-state fast path
     predicted by the LBD loop theorem: once the per-iteration offset is

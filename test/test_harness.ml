@@ -240,6 +240,99 @@ let test_ablation_sync_elim () =
      let rec go i = i + m <= n && (String.sub s i m = affix || go (i + 1)) in
      go 0)
 
+(* --- scaled tables: loop-major chunk summaries --- *)
+
+(* A test-local copy of the config-major [Report.summarize_chunk] it
+   replaced: every loop of the chunk prepared first, then each config
+   timed over all of them, then the categories. *)
+let summarize_chunk_config_major configs (c : Suite.chunk) =
+  let module Doall = Isched_transform.Doall in
+  let module Program = Isched_ir.Program in
+  let options = Pipeline.default_options in
+  let loops = Suite.chunk_loops c in
+  let prepared = List.map (fun l -> (l, Pipeline.prepare_uncached options l)) loops in
+  let source_lines =
+    List.fold_left (fun acc (l, _) -> acc + Isched_frontend.Ast.source_lines l) 0 prepared
+  in
+  let doacross =
+    List.filter_map
+      (fun (l, p) -> match p with Pipeline.Doacross _ -> Some (l, p) | Pipeline.Doall _ -> None)
+      prepared
+  in
+  let n_doall = List.length prepared - List.length doacross in
+  let progs =
+    List.filter_map
+      (fun (_, p) -> match p with Pipeline.Doacross { prog; _ } -> Some prog | _ -> None)
+      doacross
+  in
+  let sum f = List.fold_left (fun acc p -> acc + f p) 0 progs in
+  let count_sync_ops (p : Program.t) =
+    Array.fold_left
+      (fun acc i -> if Isched_ir.Instr.is_sync i then acc + 1 else acc)
+      0 p.Program.body
+  in
+  let cs_meas =
+    List.map
+      (fun (cname, m) ->
+        let tl, tn =
+          List.fold_left
+            (fun (atl, atn) (_, p) ->
+              let tl, tn = Pipeline.list_and_new_times ~options p m in
+              (atl + tl, atn + tn))
+            (0, 0) doacross
+        in
+        (cname, tl, tn))
+      configs
+  in
+  let counts = Hashtbl.create 8 in
+  List.iter
+    (fun (l, p) ->
+      let cat =
+        match p with
+        | Pipeline.Doacross { restructured; carried; _ }
+          when restructured.Isched_transform.Restructure.loop == l ->
+          Doall.categorize ~carried l
+        | _ -> Doall.categorize l
+      in
+      Hashtbl.replace counts cat (1 + Option.value ~default:0 (Hashtbl.find_opt counts cat)))
+    doacross;
+  {
+    Report.cs_profile = c.Suite.profile.Isched_perfect.Profile.name;
+    cs_stats =
+      [|
+        source_lines;
+        List.length loops;
+        n_doall;
+        sum (fun p -> Array.length p.Program.body);
+        sum Program.n_lfd;
+        sum Program.n_lbd;
+      |];
+    cs_meas;
+    cs_cats =
+      List.map
+        (fun cat -> Option.value ~default:0 (Hashtbl.find_opt counts cat))
+        Doall.all_categories
+      @ [ n_doall ];
+    cs_sync_ops = sum count_sync_ops;
+  }
+
+let test_chunk_summary_matches_config_major () =
+  let configs = Machine.paper_configs in
+  List.iter
+    (fun chunk_size ->
+      List.iter
+        (fun p ->
+          List.iter
+            (fun (c : Suite.chunk) ->
+              let expected = summarize_chunk_config_major configs c in
+              let got = Report.summarize_chunk configs c in
+              if got <> expected then
+                Alcotest.failf "%s chunk [%d, %d) at chunk size %d differs"
+                  p.Isched_perfect.Profile.name c.Suite.lo c.Suite.hi chunk_size)
+            (Suite.chunks ~chunk_size ~scale:2 p))
+        Isched_perfect.Profile.all)
+    [ 64; 7 ]
+
 let suite =
   [
     ("pipeline: prepare splits doall/doacross", `Quick, test_pipeline_prepare);
@@ -262,4 +355,6 @@ let suite =
     ("measure: domain pool equals sequential", `Quick, test_measure_pool_matches_sequential);
     ("pipeline: prepare memoization", `Quick, test_prepare_memo);
     ("pipeline: memo safe under 8-way identical keys", `Quick, test_prepare_memo_concurrent);
+    ("scaled tables: loop-major chunk summaries equal the config-major ones", `Quick,
+      test_chunk_summary_matches_config_major);
   ]

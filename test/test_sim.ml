@@ -346,6 +346,347 @@ let test_value_corpus_sample () =
       | [] -> ())
     (Isched_perfect.Suite.all ())
 
+(* --- reference: the list-based simulator --- *)
+
+(* A test-local copy of the simulator as it was before the
+   allocation-free kernel: events built as lists per call, fresh
+   per-call arrays, a signal x n post matrix of arrays.  The kernel must
+   give the same whole [result] record and the same [Invalid_schedule]
+   payload. *)
+module Reference = struct
+  module Instr = Isched_ir.Instr
+
+  let run_rows ?n_procs ?(assignment = `Cyclic) ?(extrapolate = true) (p : Program.t) rows =
+    let n = p.Program.n_iters in
+    let n_procs = match n_procs with None -> n | Some np -> np in
+    if n_procs < 1 then invalid_arg "Timing.run_rows: n_procs must be >= 1";
+    let block = (n + n_procs - 1) / n_procs in
+    let limited = n_procs < n in
+    let prev_on_proc k =
+      match assignment with
+      | `Cyclic -> if k >= n_procs then Some (k - n_procs) else None
+      | `Block -> if k mod block <> 0 then Some (k - 1) else None
+    in
+    let finish_at = Array.make (max n 1) 0 in
+    let n_signals = Array.length p.Program.signals in
+    let post = Array.init n_signals (fun _ -> Array.make (max n 1) (-1)) in
+    let iteration_starts = Array.make (max n 1) 0 in
+    let stall_of = Array.make (max n 1) 0 in
+    let n_rows = Array.length rows in
+    let ev_rows, ev_waits, ev_sends =
+      let rs = ref [] and ws = ref [] and ss = ref [] in
+      for r = n_rows - 1 downto 0 do
+        let row_waits = ref [] and row_sends = ref [] in
+        let row = rows.(r) in
+        for x = Array.length row - 1 downto 0 do
+          match p.Program.body.(row.(x)) with
+          | Instr.Wait { wait } -> row_waits := wait :: !row_waits
+          | Instr.Send { signal } -> row_sends := signal :: !row_sends
+          | _ -> ()
+        done;
+        if !row_waits <> [] || !row_sends <> [] then begin
+          rs := r :: !rs;
+          ws := Array.of_list !row_waits :: !ws;
+          ss := Array.of_list !row_sends :: !ss
+        end
+      done;
+      (Array.of_list !rs, Array.of_list !ws, Array.of_list !ss)
+    in
+    let n_ev = Array.length ev_rows in
+    let simulate k =
+      let proc_free = match prev_on_proc k with Some j -> finish_at.(j) | None -> 0 in
+      let t = ref (proc_free - 1) in
+      let stalls = ref 0 in
+      let start0 = ref proc_free in
+      let prev_row = ref (-1) in
+      for e = 0 to n_ev - 1 do
+        let r = ev_rows.(e) in
+        t := !t + (r - !prev_row - 1);
+        let earliest = !t + 1 in
+        let ready = ref earliest in
+        let ws = ev_waits.(e) in
+        for x = 0 to Array.length ws - 1 do
+          let w = p.Program.waits.(ws.(x)) in
+          let from = k - w.Program.distance in
+          if from >= 0 then begin
+            let posted = post.(w.Program.signal).(from) in
+            if posted < 0 then
+              raise
+                (Timing.Invalid_schedule
+                   {
+                     prog = p.Program.name;
+                     iteration = k;
+                     wait = w.Program.wait;
+                     signal = w.Program.signal;
+                     posting_iteration = from;
+                   });
+            if posted + 1 > !ready then ready := posted + 1
+          end
+        done;
+        stalls := !stalls + (!ready - earliest);
+        t := !ready;
+        if r = 0 then start0 := !t;
+        let ss = ev_sends.(e) in
+        for x = 0 to Array.length ss - 1 do
+          post.(ss.(x)).(k) <- !t
+        done;
+        prev_row := r
+      done;
+      t := !t + (n_rows - 1 - !prev_row);
+      iteration_starts.(k) <- (if n_rows = 0 then proc_free else !start0);
+      finish_at.(k) <- !t + 1;
+      stall_of.(k) <- !stalls
+    in
+    let d_max =
+      Array.fold_left (fun acc (w : Program.wait_info) -> max acc w.Program.distance) 0 p.Program.waits
+    in
+    let period =
+      if not limited then 1 else match assignment with `Cyclic -> n_procs | `Block -> block
+    in
+    let lag =
+      max d_max (if limited then match assignment with `Cyclic -> n_procs | `Block -> 1 else 1)
+    in
+    let guard = period + max 1 (max d_max (if limited && assignment = `Cyclic then n_procs else 0)) in
+    let window = period + lag + 2 in
+    let usable = extrapolate && period <= 512 && n > guard + window + period in
+    let run_len = ref 0 in
+    let lambda = ref 0 in
+    let lambda_start = ref 0 in
+    let state_delta k =
+      let d = finish_at.(k) - finish_at.(k - period) in
+      let ds = iteration_starts.(k) - iteration_starts.(k - period) in
+      if
+        (ds = d || ds = 0)
+        &&
+        let ok = ref true in
+        for s = 0 to n_signals - 1 do
+          if post.(s).(k) - post.(s).(k - period) <> d then ok := false
+        done;
+        !ok
+      then Some (d, ds)
+      else None
+    in
+    let stable_at = ref None in
+    let k = ref 0 in
+    while !k < n && !stable_at = None do
+      simulate !k;
+      (if usable && !k >= guard + period then
+         match state_delta !k with
+         | Some (d, ds) when !run_len > 0 && d = !lambda && ds = !lambda_start ->
+           incr run_len;
+           if !run_len >= window then stable_at := Some !k
+         | Some (d, ds) ->
+           run_len := 1;
+           lambda := d;
+           lambda_start := ds
+         | None -> run_len := 0);
+      incr k
+    done;
+    (match !stable_at with
+    | None -> ()
+    | Some k_s ->
+      for k = k_s + 1 to n - 1 do
+        iteration_starts.(k) <- iteration_starts.(k - period) + !lambda_start;
+        finish_at.(k) <- finish_at.(k - period) + !lambda;
+        let proc_free = match prev_on_proc k with Some j -> finish_at.(j) | None -> 0 in
+        stall_of.(k) <- finish_at.(k) - proc_free - n_rows
+      done);
+    let finish = ref 0 in
+    let stalls = ref 0 in
+    for k = 0 to n - 1 do
+      finish := max !finish finish_at.(k);
+      stalls := !stalls + stall_of.(k)
+    done;
+    let trim a = if n = 0 then [||] else a in
+    {
+      Timing.finish = !finish;
+      iteration_starts = trim iteration_starts;
+      iteration_finishes = trim finish_at;
+      stall_cycles = !stalls;
+      extrapolated_from = !stable_at;
+    }
+end
+
+(* [Ok result] or the [Invalid_schedule] payload, for whole-outcome
+   comparison. *)
+let outcome f =
+  match f () with
+  | r -> Ok r
+  | exception Timing.Invalid_schedule { prog; iteration; wait; signal; posting_iteration } ->
+    Error (prog, iteration, wait, signal, posting_iteration)
+
+let same_outcome ?n_procs ?assignment ?extrapolate p rows =
+  outcome (fun () -> Timing.run_rows ?n_procs ?assignment ?extrapolate p rows)
+  = outcome (fun () -> Reference.run_rows ?n_procs ?assignment ?extrapolate p rows)
+
+let reference_sources =
+  [
+    "DOACROSS I = 1, 100\n A[I] = A[I-1] + E[I]\nENDDO";
+    "DOACROSS I = 1, 100\n A[I] = A[I-3] * E[I]\nENDDO";
+    "DOACROSS I = 1, 100\n S1: B[I] = A[I-1]\n S2: A[I] = E[I]\nENDDO";
+    "DOACROSS I = 1, 100\n\
+    \ S1: B[I] = A[I-2] + E[I+1]\n\
+    \ S2: G[I-3] = A[I-1] * E[I+2]\n\
+    \ S3: A[I] = B[I] + C[I+3]\n\
+     ENDDO";
+    "DOACROSS I = 1, 40\n IF (E[I] > 0) A[I] = A[I-2] + C[I]\nENDDO";
+    "DOACROSS I = 1, 30\n S1: S = S + A[I-1]\n S2: A[I] = E[I] + S\nENDDO";
+  ]
+
+let reference_programs = lazy (Array.of_list (List.map (fun src -> compile src) reference_sources))
+
+(* A random row layout of [p]'s body: the body indices shuffled, cut
+   into rows of 1-4 entries with empty rows mixed in.  [`Send] leaves
+   one Send out (the run must fail on its first wait); [`Signal] leaves
+   out a Send and every Wait on its signal, so the run completes with a
+   signal that is never posted.  Timing trusts its input, so the layout
+   need not be a legal schedule. *)
+let random_rows rng (p : Program.t) ~drop =
+  let body = Array.init (Array.length p.Program.body) Fun.id in
+  for i = Array.length body - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let t = body.(i) in
+    body.(i) <- body.(j);
+    body.(j) <- t
+  done;
+  let n_signals = Array.length p.Program.signals in
+  let signal = if n_signals = 0 then -1 else Random.State.int rng n_signals in
+  let dropped i =
+    match (drop, p.Program.body.(i)) with
+    | (`Send | `Signal), Isched_ir.Instr.Send { signal = s } -> s = signal
+    | `Signal, Isched_ir.Instr.Wait { wait } -> p.Program.waits.(wait).Program.signal = signal
+    | _ -> false
+  in
+  let kept = List.filter (fun i -> not (dropped i)) (Array.to_list body) in
+  let rows = ref [] in
+  let rec cut = function
+    | [] -> ()
+    | l ->
+      if Random.State.int rng 6 = 0 then rows := [||] :: !rows;
+      let k = 1 + Random.State.int rng 4 in
+      let row = List.filteri (fun i _ -> i < k) l in
+      rows := Array.of_list row :: !rows;
+      cut (List.filteri (fun i _ -> i >= k) l)
+  in
+  cut kept;
+  Array.of_list (List.rev !rows)
+
+let prop_timing_matches_reference =
+  qtest ~count:300 "timing: kernel equals the list-based reference on random row layouts"
+    QCheck2.Gen.(
+      let* prog = int_range 0 (List.length reference_sources - 1) in
+      let* n = oneof [ int_range 0 3; int_range 4 40; int_range 41 300 ] in
+      let* n_procs = opt (int_range 1 12) in
+      let* assignment = oneofl [ `Cyclic; `Block ] in
+      let* extrapolate = bool in
+      let* drop = frequency [ (4, return `None); (1, return `Send); (1, return `Signal) ] in
+      let* seed = int in
+      return (prog, n, n_procs, assignment, extrapolate, drop, seed))
+    (fun (prog, n, n_procs, assignment, extrapolate, drop, seed) ->
+      let p = (Lazy.force reference_programs).(prog) in
+      let p = { p with Program.n_iters = n } in
+      (* A pool of zero processors is rejected; give n = 0 a pool. *)
+      let n_procs = if n = 0 && n_procs = None then Some 1 else n_procs in
+      let rows = random_rows (Random.State.make [| seed |]) p ~drop in
+      same_outcome ?n_procs ~assignment ~extrapolate p rows)
+
+let test_timing_reference_missing_send () =
+  (* The located error must carry the same payload as the reference's. *)
+  let p = (Lazy.force reference_programs).(3) in
+  let rng = Random.State.make [| 7 |] in
+  for _ = 1 to 50 do
+    let rows = random_rows rng p ~drop:`Send in
+    match outcome (fun () -> Timing.run_rows p rows) with
+    | Ok _ -> Alcotest.fail "a layout without a Send must not simulate"
+    | Error _ as e ->
+      Alcotest.(check bool) "same payload" true
+        (e = outcome (fun () -> Reference.run_rows p rows))
+  done
+
+let test_timing_reference_boundaries () =
+  let p = (Lazy.force reference_programs).(0) in
+  let rows = Array.init (Array.length p.Program.body) (fun i -> [| i |]) in
+  List.iter
+    (fun (n, n_procs) ->
+      let p = { p with Program.n_iters = n } in
+      List.iter
+        (fun assignment ->
+          List.iter
+            (fun extrapolate ->
+              Alcotest.(check bool)
+                (Printf.sprintf "n=%d procs=%s" n
+                   (match n_procs with None -> "all" | Some k -> string_of_int k))
+                true
+                (same_outcome ?n_procs ~assignment ~extrapolate p rows))
+            [ true; false ])
+        [ `Cyclic; `Block ])
+    [ (0, Some 1); (0, Some 3); (1, None); (1, Some 1); (1, Some 4); (2, Some 1) ]
+
+(* The scale-20 corpus scheduled both ways on the four paper configs,
+   shared by the corpus tests below. *)
+let scale20_schedules =
+  lazy
+    (let module Pipeline = Isched_harness.Pipeline in
+     let module Suite = Isched_perfect.Suite in
+     let acc = ref [] in
+     List.iter
+       (fun prof ->
+         List.iter
+           (fun c ->
+             List.iter
+               (fun l ->
+                 match Pipeline.prepare_uncached Pipeline.default_options l with
+                 | Pipeline.Doall _ -> ()
+                 | Pipeline.Doacross { graph; _ } ->
+                   List.iter
+                     (fun (_, m) ->
+                       let s_list = Isched_core.List_sched.run graph m in
+                       let s_new = Isched_core.Sync_sched.run ~baseline:s_list graph m in
+                       acc := s_new :: s_list :: !acc)
+                     Machine.paper_configs)
+               (Suite.chunk_loops c))
+           (Suite.chunks ~scale:20 prof))
+       Isched_perfect.Profile.all;
+     List.rev !acc)
+
+let test_timing_reference_corpus () =
+  let schedules = Lazy.force scale20_schedules in
+  Alcotest.(check bool) "corpus is non-trivial" true (List.length schedules > 1000);
+  List.iter
+    (fun (s : Schedule.t) ->
+      let p = s.Schedule.prog in
+      if
+        outcome (fun () -> Timing.run s)
+        <> outcome (fun () -> Reference.run_rows p s.Schedule.rows)
+      then Alcotest.failf "%s: kernel and reference disagree" p.Program.name)
+    schedules
+
+(* --- the LBD theorem per loop --- *)
+
+(* With one wait (distance d, wait row j, send row i, 1-based) and a
+   full pool every iteration starts at cycle 0 and can stall only at
+   that wait.  If i >= j the send follows the wait (in the same row,
+   waits resolve first), so iteration k posts at
+   post_k = max(i - 1, post_{k-d} + 1 + (i - j)) = post_{k-d} + i-j+1
+   (post_{k-d} >= i - 1), i.e. post_k = i - 1 + floor(k/d)(i-j+1), and
+   iteration k retires after l + floor(k/d)(i-j+1) cycles.  If i < j
+   the post (cycle i - 1) is visible before the wait issues, so no
+   iteration stalls.  Either way the last iteration gives
+   floor((n-1)/d) * max(0, i-j+1) + l, which is [Lbd_model.exact_time]. *)
+let test_timing_lbd_per_loop () =
+  let single =
+    List.filter
+      (fun (s : Schedule.t) -> Array.length s.Schedule.prog.Program.waits = 1)
+      (Lazy.force scale20_schedules)
+  in
+  Alcotest.(check bool) "single-wait schedules exist" true (List.length single > 100);
+  List.iter
+    (fun (s : Schedule.t) ->
+      check Alcotest.int
+        (s.Schedule.prog.Program.name ^ ": LBD theorem")
+        (Lbd_model.exact_time s) (Timing.run s).Timing.finish)
+    single
+
 let suite =
   [
     ("timing: doall costs the schedule length", `Quick, test_timing_doall);
@@ -375,4 +716,12 @@ let suite =
     ("value: race-free under synchronization", `Quick, test_value_no_races_under_sync);
     ("value: stale reads without the sync arcs", `Quick, test_value_stale_without_sync_arcs);
     ("value: corpus sample is exact", `Slow, test_value_corpus_sample);
+    prop_timing_matches_reference;
+    ("timing: missing Send gives the reference's payload", `Quick,
+      test_timing_reference_missing_send);
+    ("timing: reference agrees for n in {0,1,2}, both pools", `Quick,
+      test_timing_reference_boundaries);
+    ("timing: reference agrees over the scale-20 corpus", `Quick, test_timing_reference_corpus);
+    ("timing: LBD theorem exact on every single-wait scale-20 schedule", `Quick,
+      test_timing_lbd_per_loop);
   ]
