@@ -58,61 +58,49 @@ let () =
    tens of thousands of schedules, and only the result escapes (copied
    out fresh).  [finish]/[start] hold one entry per iteration;
    [post.(k * n_signals + s)] is the cycle at which iteration [k]
-   executed the Send of signal [s], written only for the signals in
-   [sent_list] (those with a Send in the rows).
+   executed the Send of signal [s], or -1 while it has not.
 
    Events: an iteration's clock advances exactly one cycle per row,
    except at rows holding a Wait (which can stall it) or a Send (which
-   must record its post cycle).  [ev] lists those rows in order, each as
-   its row index, its number of waits and of sends, then a (wait id,
-   signal, distance) triple per wait and a signal id per send, both in
-   row order (the waits of a row resolve before its sends post). *)
+   must record its post cycle).  [ev.(0)] is the number of those rows;
+   from [ev.(1)] they follow in order, each as its row index, its number
+   of waits and of sends, then a (wait id, signal, distance) triple per
+   wait and a signal id per send, both in row order (the waits of a row
+   resolve before its sends post).
+
+   The scratch keeps arrays of at most [scratch_cap] cells.  A run that
+   needs more (a long trip count, say from a serve request) works in
+   fresh arrays that are dropped with it, so a domain does not hold a
+   large run's memory once the run is over. *)
 type scratch = {
   mutable finish : int array;
   mutable start : int array;
   mutable post : int array;
-  mutable sent : int array;  (* per signal: 1 when a Send of it is in the rows *)
-  mutable sent_list : int array;
-  mutable n_sent : int;
   mutable ev : int array;
-  mutable n_ev : int;
   mutable row_sends : int array;  (* the sends of the row being scanned *)
 }
 
 let scratch_key =
   Domain.DLS.new_key (fun () ->
-      {
-        finish = [||];
-        start = [||];
-        post = [||];
-        sent = [||];
-        sent_list = [||];
-        n_sent = 0;
-        ev = [||];
-        n_ev = 0;
-        row_sends = [||];
-      })
+      { finish = [||]; start = [||]; post = [||]; ev = [||]; row_sends = [||] })
 
-let[@inline] grow a n = if Array.length a >= n then a else Array.make (max n (2 * Array.length a)) 0
+let scratch_cap = 1 lsl 16
 
-(* Unchecked access for the kernel's loops.  Every index is in range by
-   construction: [scan] writes events below the size it grew [ev] to
-   from the row and entry counts, and the loops read them back in the
-   order written; iterations are below [n] in arrays grown to [n]; post
-   cells are [k * n_signals + s] with [k < n] and a signal id [s] that
-   [scan] checked against the program's table (and a wait's source
-   iteration is below [k], as [scan] also checked its distance is
-   positive). *)
-external ( .!() ) : int array -> int -> int = "%array_unsafe_get"
-external ( .!()<- ) : int array -> int -> int -> unit = "%array_unsafe_set"
+(* An array of at least [n] cells: [a] when it is long enough, else a
+   fresh one, grown geometrically up to [scratch_cap] and exactly [n]
+   beyond it.  [kept] says whether the scratch may hold on to it. *)
+let reserve a n =
+  if Array.length a >= n then a
+  else Array.make (if n > scratch_cap then n else min scratch_cap (max n (2 * Array.length a))) 0
+
+let[@inline] kept a = Array.length a <= scratch_cap
 
 let check_signal (p : Program.t) s =
   if s < 0 || s >= Array.length p.Program.signals then
     invalid_arg (Printf.sprintf "Timing.run_rows: %s: unknown signal %d" p.Program.name s)
 
-(* One scan of the rows fills the event list and the sent signals. *)
+(* One scan of the rows returns the event array. *)
 let scan sc (p : Program.t) rows =
-  let n_signals = Array.length p.Program.signals in
   let n_rows = Array.length rows in
   let entries = ref 0 and widest = ref 0 in
   for r = 0 to n_rows - 1 do
@@ -120,26 +108,19 @@ let scan sc (p : Program.t) rows =
     entries := !entries + len;
     if len > !widest then widest := len
   done;
-  sc.ev <- grow sc.ev ((3 * n_rows) + (3 * !entries));
-  sc.row_sends <- grow sc.row_sends !widest;
-  if Array.length sc.sent < n_signals then begin
-    sc.sent <- Array.make (max n_signals (2 * Array.length sc.sent)) 0;
-    sc.sent_list <- Array.make (Array.length sc.sent) 0
-  end
-  else
-    for s = 0 to n_signals - 1 do
-      sc.sent.!(s) <- 0
-    done;
-  let body = p.Program.body and waits = p.Program.waits and sent = sc.sent in
-  let ev = sc.ev and row_sends = sc.row_sends in
-  let pos = ref 0 and n_ev = ref 0 and n_sent = ref 0 in
+  let ev = reserve sc.ev (1 + (3 * n_rows) + (3 * !entries)) in
+  let row_sends = reserve sc.row_sends !widest in
+  if kept ev then sc.ev <- ev;
+  if kept row_sends then sc.row_sends <- row_sends;
+  let body = p.Program.body and waits = p.Program.waits in
+  let pos = ref 1 and n_ev = ref 0 in
   for r = 0 to n_rows - 1 do
     let row = rows.(r) in
     let head = !pos in
     pos := head + 3;
     let nw = ref 0 and ns = ref 0 in
     for x = 0 to Array.length row - 1 do
-      match body.(row.!(x)) with
+      match body.(row.(x)) with
       | Instr.Wait { wait } ->
         let w = waits.(wait) in
         check_signal p w.Program.signal;
@@ -147,109 +128,98 @@ let scan sc (p : Program.t) rows =
           invalid_arg
             (Printf.sprintf "Timing.run_rows: %s: wait %d has distance %d" p.Program.name wait
                w.Program.distance);
-        ev.!(!pos) <- wait;
-        ev.!(!pos + 1) <- w.Program.signal;
-        ev.!(!pos + 2) <- w.Program.distance;
+        ev.(!pos) <- wait;
+        ev.(!pos + 1) <- w.Program.signal;
+        ev.(!pos + 2) <- w.Program.distance;
         pos := !pos + 3;
         incr nw
       | Instr.Send { signal } ->
         check_signal p signal;
-        row_sends.!(!ns) <- signal;
-        incr ns;
-        if sent.!(signal) = 0 then begin
-          sent.!(signal) <- 1;
-          sc.sent_list.!(!n_sent) <- signal;
-          incr n_sent
-        end
+        row_sends.(!ns) <- signal;
+        incr ns
       | _ -> ()
     done;
     if !nw = 0 && !ns = 0 then pos := head
     else begin
-      ev.!(head) <- r;
-      ev.!(head + 1) <- !nw;
-      ev.!(head + 2) <- !ns;
+      ev.(head) <- r;
+      ev.(head + 1) <- !nw;
+      ev.(head + 2) <- !ns;
       for x = 0 to !ns - 1 do
-        ev.!(!pos + x) <- row_sends.!(x)
+        ev.(!pos + x) <- row_sends.(x)
       done;
       pos := !pos + !ns;
       incr n_ev
     end
   done;
-  sc.n_ev <- !n_ev;
-  sc.n_sent <- !n_sent
+  ev.(0) <- !n_ev;
+  ev
 
 (* Iteration [k] on a processor free from cycle [proc_free]: writes the
    start and retirement of [k] and the posts of its sends, and returns
    the cycles [k] stalled.  Row [r] issues at [proc_free + r] plus the
    stalls met so far.  Signals flow from lower iterations, simulated
-   already, so a signal whose Send is in the rows has always been posted
-   by [k - distance]; an unsent one means the Send is absent from the
-   row layout — an invalid schedule, not a simulator bug — and is
-   diagnosed as such. *)
-let simulate sc (p : Program.t) n_rows k proc_free =
+   already, so an unposted signal means its Send is absent from the row
+   layout — an invalid schedule, not a simulator bug — and is diagnosed
+   as such. *)
+let simulate (p : Program.t) ev post start finish n_rows k proc_free =
   let n_signals = Array.length p.Program.signals in
-  let post = sc.post and sent = sc.sent and ev = sc.ev in
   let stalls = ref 0 in
   (* The iteration start is the issue cycle of row 0: [proc_free] unless
      row 0 itself holds a wait that pushes it. *)
-  let start = ref proc_free in
-  let pos = ref 0 in
-  for _ = 1 to sc.n_ev do
-    let r = ev.!(!pos) and nw = ev.!(!pos + 1) and ns = ev.!(!pos + 2) in
+  let st = ref proc_free in
+  let pos = ref 1 in
+  for _ = 1 to ev.(0) do
+    let r = ev.(!pos) and nw = ev.(!pos + 1) and ns = ev.(!pos + 2) in
     pos := !pos + 3;
     let earliest = proc_free + r + !stalls in
     let ready = ref earliest in
     for _ = 1 to nw do
-      let signal = ev.!(!pos + 1) in
-      let from = k - ev.!(!pos + 2) in
+      let signal = ev.(!pos + 1) in
+      let from = k - ev.(!pos + 2) in
       if from >= 0 then begin
-        if sent.!(signal) = 0 then
+        let posted = post.((from * n_signals) + signal) in
+        if posted < 0 then
           raise
             (Invalid_schedule
                {
                  prog = p.Program.name;
                  iteration = k;
-                 wait = ev.!(!pos);
+                 wait = ev.(!pos);
                  signal;
                  posting_iteration = from;
                });
-        let posted = post.!((from * n_signals) + signal) in
         if posted + 1 > !ready then ready := posted + 1
       end;
       pos := !pos + 3
     done;
     stalls := !stalls + (!ready - earliest);
-    if r = 0 then start := !ready;
+    if r = 0 then st := !ready;
     for _ = 1 to ns do
-      post.!((k * n_signals) + ev.!(!pos)) <- !ready;
+      post.((k * n_signals) + ev.(!pos)) <- !ready;
       incr pos
     done
   done;
-  sc.start.!(k) <- !start;
-  sc.finish.!(k) <- proc_free + n_rows + !stalls;
+  start.(k) <- !st;
+  finish.(k) <- proc_free + n_rows + !stalls;
   !stalls
 
 (* Does every signal post of [k] lead [k - period]'s by [d]?  A signal
-   without a Send is never posted, so its delta is 0. *)
-let posts_shift_by sc n_signals k period d =
-  if sc.n_sent < n_signals && d <> 0 then false
-  else begin
-    let post = sc.post and ok = ref true and i = ref 0 in
-    while !ok && !i < sc.n_sent do
-      let s = sc.sent_list.!(!i) in
-      if post.!((k * n_signals) + s) - post.!(((k - period) * n_signals) + s) <> d then ok := false;
-      incr i
-    done;
-    !ok
-  end
+   without a Send stays -1, so its delta is 0. *)
+let posts_shift_by post n_signals k period d =
+  let ok = ref true and s = ref 0 in
+  while !ok && !s < n_signals do
+    if post.((k * n_signals) + !s) - post.(((k - period) * n_signals) + !s) <> d then ok := false;
+    incr s
+  done;
+  !ok
 
 (* The cycle from which iteration [k]'s processor is free: with a
    limited pool, iteration [k] waits for its processor's previous
    iteration.  Cyclic: the predecessor is k - n_procs.  Block: chunks of
    [block] consecutive iterations share a processor. *)
 let[@inline] proc_free finish ~cyclic ~n_procs ~block k =
-  if cyclic then if k >= n_procs then finish.!(k - n_procs) else 0
-  else if k mod block <> 0 then finish.!(k - 1)
+  if cyclic then if k >= n_procs then finish.(k - n_procs) else 0
+  else if k mod block <> 0 then finish.(k - 1)
   else 0
 
 let run_rows_inner ?n_procs ?(assignment = `Cyclic) ?(extrapolate = true) (p : Program.t) rows =
@@ -262,11 +232,13 @@ let run_rows_inner ?n_procs ?(assignment = `Cyclic) ?(extrapolate = true) (p : P
   let n_signals = Array.length p.Program.signals in
   let n_rows = Array.length rows in
   let sc = Domain.DLS.get scratch_key in
-  sc.finish <- grow sc.finish n;
-  sc.start <- grow sc.start n;
-  sc.post <- grow sc.post (n * n_signals);
-  scan sc p rows;
-  let finish = sc.finish and start = sc.start in
+  let finish = reserve sc.finish n and start = reserve sc.start n in
+  let post = reserve sc.post (n * n_signals) in
+  if kept finish then sc.finish <- finish;
+  if kept start then sc.start <- start;
+  if kept post then sc.post <- post;
+  Array.fill post 0 (n * n_signals) (-1);
+  let ev = scan sc p rows in
   (* Steady-state parameters.  [period]: the lag at which the iteration
      recurrence repeats (1 with a full pool; the pool size under cyclic
      assignment; the chunk size under block assignment, where chunk
@@ -305,12 +277,13 @@ let run_rows_inner ?n_procs ?(assignment = `Cyclic) ?(extrapolate = true) (p : P
   let last = ref 0 and stalls = ref 0 in
   while !k < n && !stable < 0 do
     let kk = !k in
-    stalls := !stalls + simulate sc p n_rows kk (proc_free finish ~cyclic ~n_procs ~block kk);
-    if finish.!(kk) > !last then last := finish.!(kk);
+    stalls :=
+      !stalls + simulate p ev post start finish n_rows kk (proc_free finish ~cyclic ~n_procs ~block kk);
+    if finish.(kk) > !last then last := finish.(kk);
     if usable && kk >= guard + period then begin
-      let d = finish.!(kk) - finish.!(kk - period) in
-      let ds = start.!(kk) - start.!(kk - period) in
-      if (ds = d || ds = 0) && posts_shift_by sc n_signals kk period d then begin
+      let d = finish.(kk) - finish.(kk - period) in
+      let ds = start.(kk) - start.(kk - period) in
+      if (ds = d || ds = 0) && posts_shift_by post n_signals kk period d then begin
         if !run_len > 0 && d = !lambda && ds = !lambda_start then begin
           incr run_len;
           if !run_len >= window then stable := kk
@@ -334,28 +307,13 @@ let run_rows_inner ?n_procs ?(assignment = `Cyclic) ?(extrapolate = true) (p : P
        plus its stall), which holds whether or not the iteration sits at
        a chunk boundary. *)
     let lambda = !lambda and lambda_start = !lambda_start in
-    if limited then
-      for k = stable + 1 to n - 1 do
-        start.!(k) <- start.!(k - period) + lambda_start;
-        let f = finish.!(k - period) + lambda in
-        finish.!(k) <- f;
-        if f > !last then last := f;
-        stalls := !stalls + (f - proc_free finish ~cyclic ~n_procs ~block k - n_rows)
-      done
-    else begin
-      (* A full pool: period 1 and every processor free from cycle 0.
-         The running values stay in registers rather than being read
-         back from the cell just written. *)
-      let st = ref start.!(stable) and f = ref finish.!(stable) in
-      for k = stable + 1 to n - 1 do
-        st := !st + lambda_start;
-        f := !f + lambda;
-        start.!(k) <- !st;
-        finish.!(k) <- !f;
-        if !f > !last then last := !f;
-        stalls := !stalls + (!f - n_rows)
-      done
-    end;
+    for k = stable + 1 to n - 1 do
+      start.(k) <- start.(k - period) + lambda_start;
+      let f = finish.(k - period) + lambda in
+      finish.(k) <- f;
+      if f > !last then last := f;
+      stalls := !stalls + (f - proc_free finish ~cyclic ~n_procs ~block k - n_rows)
+    done;
     Counters.incr c_extrapolated;
     Counters.add c_saved_iters (n - 1 - stable)
   end

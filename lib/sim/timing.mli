@@ -16,7 +16,9 @@
     path extrapolates.  The simulation is exact for timing — it is what
     the benchmark harness uses to produce Table 2 — and allocates only
     the returned result: its working state is per-domain scratch reused
-    across runs. *)
+    across runs.  The scratch keeps arrays of up to 65,536 cells; a
+    longer run (about 65,536 iterations, or fewer times the signal
+    count) works in fresh arrays that are freed with it. *)
 
 type result = {
   finish : int;  (** parallel execution time: cycle count until the last

@@ -687,6 +687,29 @@ let test_timing_lbd_per_loop () =
         (Lbd_model.exact_time s) (Timing.run s).Timing.finish)
     single
 
+(* The per-domain scratch keeps arrays only up to a fixed size, so one
+   run with a long trip count (a serve request may ask for any) does not
+   pin its memory to the domain afterwards.  A first run at a trip count
+   within the cap fills the scratch to its largest kept size; the long
+   run after it must leave the live heap where that run left it.  Had the
+   scratch kept the long run's arrays, its start, finish and post cells
+   (3 x 300,000 words) would stay live. *)
+let test_timing_scratch_released () =
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let p, rows = chain_rows 60_000 in
+  check Alcotest.int "one signal" 1 (Array.length p.Program.signals);
+  ignore (Sys.opaque_identity (Timing.run_rows p rows));
+  let before = live () in
+  let long = { p with Program.n_iters = 300_000 } in
+  let t = Timing.run_rows long rows in
+  check Alcotest.int "every iteration timed" 300_000 (Array.length t.Timing.iteration_finishes);
+  let after = live () in
+  if after - before > 50_000 then
+    Alcotest.failf "live heap grew by %d words after a 300,000-iteration run" (after - before)
+
 let suite =
   [
     ("timing: doall costs the schedule length", `Quick, test_timing_doall);
@@ -724,4 +747,5 @@ let suite =
     ("timing: reference agrees over the scale-20 corpus", `Quick, test_timing_reference_corpus);
     ("timing: LBD theorem exact on every single-wait scale-20 schedule", `Quick,
       test_timing_lbd_per_loop);
+    ("timing: a long run leaves no scratch behind", `Quick, test_timing_scratch_released);
   ]
